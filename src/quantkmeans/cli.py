@@ -69,12 +69,18 @@ def _pick(args, file_values: dict, key: str, default, convert):
     return default
 
 
+def _parse_interval(text: str) -> tuple[int, int]:
+    try:
+        lo, hi = text.split(":")
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(
+            f"bad interval {text!r}: expected LO:HI with integer bounds"
+        ) from None
+
+
 def _parse_region(text: str) -> tuple[tuple[int, int], ...]:
-    intervals = []
-    for part in text.split(","):
-        lo, hi = part.split(":")
-        intervals.append((int(lo), int(hi)))
-    return tuple(intervals)
+    return tuple(_parse_interval(part) for part in text.split(","))
 
 
 def _d_bound_value(text: str):
@@ -97,8 +103,7 @@ def _experiment_config(args) -> ExperimentConfig:
     if region_text is not None:
         region = _parse_region(region_text)
     elif box is not None:
-        lo, hi = box.split(":")
-        region = tuple((int(lo), int(hi)) for _ in range(dim))
+        region = (_parse_interval(box),) * dim
     else:
         region = tuple((0, 50) for _ in range(dim))
     return ExperimentConfig(

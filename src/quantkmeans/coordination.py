@@ -1,18 +1,24 @@
 """Max/min-consensus and the windowed distributed stopping mechanism.
 
-Every D steps (D at least the graph diameter) each node snapshots, per
-cluster label, the ratio of the labeled mass it currently holds; the
-snapshots then flood for exactly D one-hop merge rounds.  When the running
-maximum and minimum coincide for a label, every contributing mass ratio was
-identical at snapshot time, which certifies that the common value is the
-exact cluster average.  A label nobody contributed to is flagged empty.
+Protocol: every D steps (D at least the graph diameter) each node snapshots,
+per cluster label, the ratio of the labeled mass it currently holds; the
+snapshots then flood for exactly D one-hop merge rounds, one extrema message
+per edge and step.  When the running maximum and minimum coincide for a
+label, every contributing mass ratio was identical at snapshot time, which
+certifies that the common value is the exact cluster average.  A label
+nobody contributed to is flagged empty.
+
+Simulation: after D >= diameter rounds every node holds the global extrema,
+so every node reaches the verdict of one fold over all snapshots.  The
+simulator computes that fold once per window and still counts the flood's
+messages; ``flood_verdict`` replays the flood node by node and is the
+reference that tests compare the fold against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TypeVar
-from weakref import WeakValueDictionary
 
 from .exactmath import FractionVector
 
@@ -44,22 +50,6 @@ class ClusterExtrema:
     lower: FractionVector
 
 
-# Extrema entries are interned by value: equal extrema are one shared object,
-# so the per-step merges across every edge degrade to identity checks once
-# values stop moving.  Keys are exact because the vectors inside entries are
-# always kept in reduced canonical form.
-_entry_intern: "WeakValueDictionary[tuple, ClusterExtrema]" = WeakValueDictionary()
-
-
-def _make_entry(upper: FractionVector, lower: FractionVector) -> ClusterExtrema:
-    key = (upper.nums, upper.den, lower.nums, lower.den)
-    entry = _entry_intern.get(key)
-    if entry is None:
-        entry = ClusterExtrema(upper, lower)
-        _entry_intern[key] = entry
-    return entry
-
-
 class ExtremaState:
     """Per-cluster extrema for one node; ``None`` entries mean the node has
     observed no contribution for that cluster in the current window."""
@@ -77,60 +67,30 @@ class ExtremaState:
 
 
 def snapshot(values: Sequence[Optional[FractionVector]]) -> ExtremaState:
-    """Open a window: each present value seeds both extrema for its cluster.
-    Values must be in reduced form (mass ratios are reduced at the source)."""
+    """Open a window: each present value seeds both extrema for its cluster."""
     return ExtremaState(
-        None if v is None else _make_entry(v, v) for v in values
+        None if v is None else ClusterExtrema(v, v) for v in values
     )
 
 
 def _merge_entry(a: Optional[ClusterExtrema],
                  b: Optional[ClusterExtrema]) -> Optional[ClusterExtrema]:
-    if b is None or b is a:
-        return a
     if a is None:
         return b
-    upper = a.upper.elementwise_max(b.upper)
-    lower = a.lower.elementwise_min(b.lower)
-    if upper is a.upper and lower is a.lower:
+    if b is None:
         return a
-    if upper is b.upper and lower is b.lower:
-        return b
-    return _make_entry(upper, lower)
+    return ClusterExtrema(a.upper.elementwise_max(b.upper),
+                          a.lower.elementwise_min(b.lower))
 
 
 def extrema_merge(own: ExtremaState,
                   received: Iterable[ExtremaState]) -> ExtremaState:
     """Fold received extrema into the node's own, per cluster and dimension.
-
-    Absent entries act as identity elements.  When the result coincides with
-    one input, that input's object is returned unchanged, so an agreed state
-    propagates through the network by reference.
-    """
-    result = own
-    entries = None
+    Absent entries act as identity elements."""
+    entries = own.entries
     for other in received:
-        if other is result:
-            continue
-        base = result.entries if entries is None else entries
-        if other.entries is base:
-            continue
-        changed = None
-        for idx, (a, b) in enumerate(zip(base, other.entries)):
-            merged = _merge_entry(a, b)
-            if merged is not a:
-                if changed is None:
-                    changed = list(base)
-                changed[idx] = merged
-        if changed is not None:
-            adopted = all(x is y for x, y in zip(changed, other.entries))
-            if adopted:
-                result, entries = other, None
-            else:
-                entries = changed
-    if entries is not None:
-        return ExtremaState(entries)
-    return result
+        entries = tuple(map(_merge_entry, entries, other.entries))
+    return ExtremaState(entries)
 
 
 @dataclass(frozen=True)
@@ -163,7 +123,7 @@ def window_check(state: ExtremaState) -> tuple[WindowOutcome, ...]:
     for entry in state.entries:
         if entry is None:
             outcomes.append(EMPTY)
-        elif entry.upper is entry.lower or entry.upper == entry.lower:
+        elif entry.upper == entry.lower:
             outcomes.append(Agreed(entry.upper))
         else:
             outcomes.append(DISAGREED)
@@ -173,3 +133,21 @@ def window_check(state: ExtremaState) -> tuple[WindowOutcome, ...]:
 def all_settled(outcomes: Iterable[WindowOutcome]) -> bool:
     """The inner loop may stop only when no cluster is still disagreeing."""
     return not any(o is DISAGREED for o in outcomes)
+
+
+def flood_verdict(in_nbrs: Sequence[Sequence[int]],
+                  snapshots: Sequence[ExtremaState],
+                  rounds: int) -> tuple[WindowOutcome, ...]:
+    """Reference for one stopping window as the protocol runs it: every node
+    merges the extrema of its in-neighbors (``in_nbrs[j]``) for ``rounds``
+    synchronous rounds, then closes the window on its own state.  Returns
+    the verdict all nodes reached; raises ValueError when two nodes reach
+    different verdicts, which ``rounds`` below the diameter can cause."""
+    states = list(snapshots)
+    for _ in range(rounds):
+        states = [extrema_merge(states[j], [states[i] for i in in_nbrs[j]])
+                  for j in range(len(states))]
+    verdicts = [window_check(state) for state in states]
+    if any(v != verdicts[0] for v in verdicts):
+        raise ValueError("stopping verdicts diverged across nodes")
+    return verdicts[0]

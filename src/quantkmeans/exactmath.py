@@ -139,38 +139,17 @@ class FractionVector:
         return hash((r.nums, r.den))
 
     def elementwise_max(self, other: "FractionVector") -> "FractionVector":
-        """Per-dimension maximum.  Returns one of the inputs unchanged when it
-        dominates in every dimension, so repeated merging of already-agreed
-        values costs no allocation."""
-        return self._elementwise(other, take_max=True)
+        """Per-dimension maximum, in reduced form."""
+        return self._elementwise(other, max)
 
     def elementwise_min(self, other: "FractionVector") -> "FractionVector":
-        return self._elementwise(other, take_max=False)
+        """Per-dimension minimum, in reduced form."""
+        return self._elementwise(other, min)
 
-    def _elementwise(self, other: "FractionVector", take_max: bool) -> "FractionVector":
+    def _elementwise(self, other: "FractionVector", pick) -> "FractionVector":
         if len(self.nums) != len(other.nums):
             raise ValueError("dimension mismatch")
         a, b = self.den, other.den
-        self_ge = other_ge = True
-        for x, y in zip(self.nums, other.nums):
-            lhs, rhs = x * b, y * a
-            if lhs < rhs:
-                self_ge = False
-            elif lhs > rhs:
-                other_ge = False
-        # Ties return the other operand, so a value that has stopped moving
-        # propagates through merges as one shared object.
-        if take_max:
-            if other_ge:
-                return other
-            if self_ge:
-                return self
-        else:
-            if self_ge:
-                return other
-            if other_ge:
-                return self
-        pick = max if take_max else min
         nums = tuple(pick(x * b, y * a) for x, y in zip(self.nums, other.nums))
         return FractionVector(nums, a * b).reduced()
 

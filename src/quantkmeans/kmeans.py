@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .consensus import ConsensusState, Mass
-from .coordination import Agreed, DISAGREED, EMPTY, ExtremaState, WindowOutcome
+from .coordination import Agreed, DISAGREED, EMPTY, WindowOutcome
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 
 
@@ -119,11 +119,10 @@ def finalize_round(outcomes: Sequence[WindowOutcome], previous: CentroidSet,
 
 class NodeKMeansState:
     """One node's full clustering state: its observation, current assignment,
-    the k labeled averaging instances of the running round, the extrema used
-    for stopping, and the terminal flag."""
+    the k labeled averaging instances of the running round, and the terminal
+    flag."""
 
-    __slots__ = ("node_id", "x", "targets", "assignment",
-                 "instances", "extrema", "flag")
+    __slots__ = ("node_id", "x", "targets", "assignment", "instances", "flag")
 
     def __init__(self, node_id: int, x: Sequence[int], targets: tuple[int, ...]):
         self.node_id = node_id
@@ -131,7 +130,6 @@ class NodeKMeansState:
         self.targets = targets
         self.assignment: Optional[int] = None
         self.instances: list[ConsensusState] = []
-        self.extrema: Optional[ExtremaState] = None
         self.flag = False
 
     def begin_round(self, centroids: CentroidSet,
@@ -219,7 +217,7 @@ def parse_centroids(text: str) -> list[FractionVector]:
             continue
         try:
             parts = [Fraction.parse(tok) for tok in raw.split()]
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad centroid coordinate") from None
         if dim is None:
             dim = len(parts)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .consensus import ConsensusState, Mass
-from .coordination import (Agreed, all_settled, extrema_merge, snapshot,
-                           window_check)
+from .coordination import all_settled, extrema_merge, snapshot, window_check
 from .exactmath import Fraction, FractionVector
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected)
@@ -76,7 +75,8 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     for j in range(n):
         state, message = ConsensusState.create(values[j], 1, orders.targets(j))
         states.append(state)
-        assert message is not None
+        if message is None:
+            raise ProtocolError(f"node {j} sent no initial transmission")
         pending.append((j, message[0], message[1]))
         if log is not None:
             log.append((0, j, message[0], 1, values[j]))
@@ -265,20 +265,16 @@ class _MessageStats:
             self.bits += a.bit_length() + 1
 
 
-def _outcomes_equal(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for x, y in zip(a, b):
-        if isinstance(x, Agreed) and isinstance(y, Agreed):
-            if x.value != y.value:
-                return False
-        elif x is not y:
-            return False
-    return True
+def _window_verdict(snapshots: list):
+    """The verdict every node reaches when a window closes.  With D at least
+    the diameter the flood leaves every node holding the global extrema, so
+    the verdict is that of one fold over all snapshots (``flood_verdict`` in
+    ``coordination`` is the node-by-node reference)."""
+    return window_check(extrema_merge(snapshots[0], snapshots[1:]))
 
 
-def _run_round(nodes: list[NodeKMeansState], in_nbrs: list[tuple[int, ...]],
-               centroids: CentroidSet, window: int, m_edges: int,
+def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
+               window: int, m_edges: int,
                step_cap: int, stats: _MessageStats,
                check_conservation: bool,
                log: Optional[list], step_base: int):
@@ -289,15 +285,16 @@ def _run_round(nodes: list[NodeKMeansState], in_nbrs: list[tuple[int, ...]],
     n = len(nodes)
     k = centroids.k
     pending: list[tuple[int, int, int, Mass]] = []
-    extrema = []
+    snapshots = []
     for j, node in enumerate(nodes):
         snap_values, messages = node.begin_round(centroids)
-        extrema.append(snapshot(snap_values))
+        snapshots.append(snapshot(snap_values))
         for cl, dest, mass in messages:
             pending.append((j, dest, cl, mass))
             stats.record(mass)
             if log is not None:
                 log.append((step_base + 1, j, dest, cl, mass.z, mass.y))
+    verdict = _window_verdict(snapshots)
     steps = 1
     mass_msgs = len(pending)
     ext_msgs = m_edges
@@ -337,21 +334,14 @@ def _run_round(nodes: list[NodeKMeansState], in_nbrs: list[tuple[int, ...]],
             if seen != label_totals:
                 raise ProtocolError("mass conservation violated in round")
 
-        prev = extrema
-        extrema = [extrema_merge(prev[j], [prev[i] for i in in_nbrs[j]])
-                   for j in range(n)]
         merges += 1
         if merges == window:
-            outcomes = window_check(extrema[0])
-            for j in range(1, n):
-                if not _outcomes_equal(window_check(extrema[j]), outcomes):
-                    raise ProtocolError(
-                        "stopping verdicts diverged across nodes")
-            if all_settled(outcomes):
+            if all_settled(verdict):
                 if pending:
                     raise ProtocolError("messages in flight at round close")
-                return steps, mass_msgs, ext_msgs, outcomes
-            extrema = [snapshot(node.held_snapshot_values()) for node in nodes]
+                return steps, mass_msgs, ext_msgs, verdict
+            verdict = _window_verdict(
+                [snapshot(node.held_snapshot_values()) for node in nodes])
             merges = 0
 
         for j, node in enumerate(nodes):
@@ -401,7 +391,6 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
         orders = assign_edge_orders(g)
 
     nodes = [NodeKMeansState(j, x[j], orders.targets(j)) for j in range(n)]
-    in_nbrs = [g.in_neighbors(j) for j in range(n)]
     current = CentroidSet(initial_centroids, 0)
 
     log: Optional[list] = [] if log_messages else None
@@ -419,7 +408,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     while T < max_rounds and not terminated:
         T += 1
         steps, mass_msgs, ext_msgs, outcomes = _run_round(
-            nodes, in_nbrs, current, window, g.m, per_round_cap, stats,
+            nodes, current, window, g.m, per_round_cap, stats,
             check_conservation, log, C_t)
         current, unchanged = finalize_round(outcomes, current)
         centroid_sets.append(current)

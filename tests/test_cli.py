@@ -151,6 +151,26 @@ class TestKMeansCommand:
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
         assert summary["equivalence"] == "pass"
 
+    def test_zero_denominator_centroid_is_an_input_error(self, tmp_path, capsys):
+        cents = tmp_path / "cents.txt"
+        cents.write_text("0 0\n1/0 7\n", encoding="utf-8")
+        rc = main(["kmeans", "--n", "8", "--k", "2", "--centroids", str(cents),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 2: bad centroid coordinate\n"
+
+    @pytest.mark.parametrize("flag, value", [("--box", "5"), ("--box", "0:x"),
+                                             ("--region", "0:5,7")])
+    def test_malformed_interval_names_expected_form(self, tmp_path, capsys,
+                                                    flag, value):
+        rc = main(["kmeans", "--n", "8", "--k", "2", flag, value,
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: bad interval") and "LO:HI" in err
+
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path):

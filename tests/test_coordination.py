@@ -1,9 +1,11 @@
 import random
 
+import pytest
+
 from quantkmeans.coordination import (Agreed, DISAGREED, EMPTY, all_settled,
-                                      extrema_merge, max_consensus_step,
-                                      min_consensus_step, snapshot,
-                                      window_check)
+                                      extrema_merge, flood_verdict,
+                                      max_consensus_step, min_consensus_step,
+                                      snapshot, window_check)
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
 
@@ -86,7 +88,7 @@ class TestMerge:
         own = snapshot([None])
         other = snapshot([fv(5)])
         merged = extrema_merge(own, [other])
-        assert merged.entries[0] is other.entries[0]
+        assert merged.entries[0] == other.entries[0]
 
     def test_per_dimension_extrema(self):
         own = snapshot([fv(1, 5)])
@@ -95,10 +97,10 @@ class TestMerge:
         assert merged.entries[0].upper == fv(2, 5)
         assert merged.entries[0].lower == fv(1, 3)
 
-    def test_merge_with_nothing_returns_own_object(self):
+    def test_merge_with_nothing_or_itself_keeps_own_values(self):
         own = snapshot([fv(1, 5)])
-        assert extrema_merge(own, []) is own
-        assert extrema_merge(own, [own]) is own
+        assert extrema_merge(own, []).entries == own.entries
+        assert extrema_merge(own, [own]).entries == own.entries
 
     def test_order_independent(self):
         states = [snapshot([fv(3, 1)]), snapshot([fv(1, 4)]), snapshot([None])]
@@ -165,3 +167,80 @@ class TestFloodedExtremaMatchDirectComputation:
                     down = entry.lower.component(dim)
                     assert fractions.Fraction(up.num, up.den) == hi
                     assert fractions.Fraction(down.num, down.den) == lo
+
+
+def fold_verdict(snapshots):
+    """What the simulator certifies a window with: one fold over all nodes'
+    snapshots."""
+    return window_check(extrema_merge(snapshots[0], snapshots[1:]))
+
+
+def label_values(rng, n, mode):
+    """One label's snapshot value at each of n nodes.  Present values are
+    negative, small or around 10^30; agreeing nodes build the common ratio
+    from different unreduced pairs."""
+    if mode == "absent":
+        return [None] * n
+    scale = rng.choice([1, 10 ** 30])
+    base = (rng.randint(-50, 50) * scale + rng.randint(-3, 3),
+            rng.randint(-50, 50) * scale)
+    den = rng.randint(1, 9)
+    values = []
+    for _ in range(n):
+        if rng.random() < 0.3:
+            values.append(None)
+            continue
+        if mode == "agree":
+            f = rng.randint(1, 6)
+            value = fv(base[0] * f, base[1] * f, den=den * f)
+        else:
+            value = fv(base[0] + rng.randint(-1, 1), base[1], den=den)
+        values.append(value.reduced() if rng.random() < 0.7 else value)
+    return values
+
+
+class TestFoldMatchesReferenceFlood:
+    @pytest.mark.parametrize("extra_rounds", [0, 2])
+    def test_random_digraphs(self, extra_rounds):
+        rng = random.Random(4242 + extra_rounds)
+        seen = {"agreed": 0, "disagreed": 0, "empty": 0}
+        for _ in range(40):
+            n = rng.randint(3, 16)
+            g = generate_random_digraph(n, rng.choice([0.0, 0.1, 0.3]),
+                                        seed=rng.randint(0, 10 ** 6))
+            in_nbrs = [g.in_neighbors(j) for j in range(n)]
+            k = rng.randint(1, 4)
+            columns = [label_values(rng, n, rng.choice(
+                ["agree", "agree", "spread", "absent"])) for _ in range(k)]
+            snapshots = [snapshot([col[j] for col in columns])
+                         for j in range(n)]
+            expected = fold_verdict(snapshots)
+            assert flood_verdict(in_nbrs, snapshots,
+                                 diameter(g) + extra_rounds) == expected
+            for outcome in expected:
+                if isinstance(outcome, Agreed):
+                    seen["agreed"] += 1
+                else:
+                    seen["disagreed" if outcome is DISAGREED else "empty"] += 1
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("columns, expected", [
+        # 2/4, 1/2 and 3/6 are one ratio built from different pairs
+        ([[fv(2, den=4), fv(1, den=2), None, fv(3, den=6)]],
+         (Agreed(fv(1, den=2)),)),
+        ([[None] * 4, [None] * 4], (EMPTY, EMPTY)),
+    ])
+    def test_fixed_cases(self, columns, expected):
+        g = cycle_digraph(4)
+        in_nbrs = [g.in_neighbors(j) for j in range(4)]
+        snapshots = [snapshot([None if col[j] is None else col[j].reduced()
+                               for col in columns]) for j in range(4)]
+        assert flood_verdict(in_nbrs, snapshots, diameter(g)) \
+            == fold_verdict(snapshots) == expected
+
+    def test_rounds_below_diameter_diverge(self):
+        g = cycle_digraph(4)
+        in_nbrs = [g.in_neighbors(j) for j in range(4)]
+        snapshots = [snapshot([fv(v)]) for v in (1, 1, 1, 2)]
+        with pytest.raises(ValueError, match="diverged"):
+            flood_verdict(in_nbrs, snapshots, 1)

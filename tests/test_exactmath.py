@@ -104,8 +104,8 @@ class TestFractionVector:
     def test_elementwise_returns_dominating_input(self):
         a = FractionVector((5, 5), 1)
         b = FractionVector((1, 2), 1)
-        assert a.elementwise_max(b) is a
-        assert a.elementwise_min(b) is b
+        assert a.elementwise_max(b) == a
+        assert a.elementwise_min(b) == b
 
     @given(st.lists(st.tuples(anyint, anyint), min_size=1, max_size=4),
            nonzero, nonzero)

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from quantkmeans import sim
+from quantkmeans.coordination import flood_verdict
 from quantkmeans.exactmath import Fraction, FractionVector
-from quantkmeans.graph import Digraph, generate_random_digraph
+from quantkmeans.graph import Digraph, diameter, generate_random_digraph
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
 from quantkmeans.sim import (ExperimentConfig, distance_objective,
                              run_consensus, run_experiment, run_kmeans, sweep)
@@ -182,6 +184,31 @@ class TestRunKMeans:
                      for _ in range(k)]
             trace = run_kmeans(g, obs, cents)
             assert check_equivalence(trace, lloyd_reference(obs, cents)).passed
+
+    @pytest.mark.parametrize("extra_rounds", [0, 2])
+    def test_window_verdicts_match_reference_flood(self, monkeypatch,
+                                                   extra_rounds):
+        # Every window the run certifies by one fold must get the same
+        # verdict from the node-by-node flood over the same snapshots.
+        g = generate_random_digraph(14, 0.15, seed=31)
+        rng = random.Random(32)
+        obs = [tuple(rng.randint(-20, 20) for _ in range(2)) for _ in range(14)]
+        cents = [fv(-10, -10), fv(0, 10), fv(10, -10)]
+        in_nbrs = [g.in_neighbors(j) for j in range(g.n)]
+        window = diameter(g) + extra_rounds
+        fold = sim._window_verdict
+        verdicts = []
+
+        def checked(snapshots):
+            verdict = fold(snapshots)
+            assert flood_verdict(in_nbrs, snapshots, window) == verdict
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(sim, "_window_verdict", checked)
+        trace = run_kmeans(g, obs, cents, d_bound=window)
+        assert trace.terminated
+        assert len(verdicts) > trace.T     # some windows did not certify
 
 
 class TestDistanceObjective:
