@@ -206,6 +206,7 @@ def _load_kmeans_inputs(args, config: ExperimentConfig):
 
 def cmd_kmeans(args) -> int:
     config = _experiment_config(args)
+    config.validate()
     g, observations, centroids, config = _load_kmeans_inputs(args, config)
     trace = run_kmeans(g, observations, centroids,
                        d_bound=config.d_bound, max_rounds=config.max_rounds,

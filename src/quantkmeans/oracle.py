@@ -2,8 +2,7 @@
 
 The Lloyd reference deliberately reuses the exact assignment and refinement
 operations, so a divergence between it and a distributed run isolates a
-protocol bug rather than arithmetic drift.  A float variant exists purely to
-demonstrate how inexact arithmetic drifts; it takes no part in validation.
+protocol bug rather than arithmetic drift.
 """
 
 from __future__ import annotations
@@ -111,34 +110,3 @@ def check_equivalence(trace, oracle: LloydResult) -> EquivalenceReport:
             False, rounds, (rounds, -1),
             f"sequence lengths differ: {len(distributed)} vs {len(reference)}")
     return EquivalenceReport(True, rounds, None, "identical centroid sequences")
-
-
-def lloyd_float(observations: Sequence[Sequence[int]],
-                initial_centroids: Sequence[Sequence[float]],
-                max_rounds: int = 100) -> tuple[list[list[list[float]]], int]:
-    """Float-arithmetic Lloyd, for demonstrating quantization-free drift.
-    Not used by any validation path."""
-    centroids = [list(map(float, c)) for c in initial_centroids]
-    history = [[list(c) for c in centroids]]
-    for T in range(1, max_rounds + 1):
-        k = len(centroids)
-        sums = [[0.0] * len(centroids[0]) for _ in range(k)]
-        counts = [0] * k
-        for x in observations:
-            best, best_d = 0, None
-            for idx, c in enumerate(centroids):
-                d = sum((xi - ci) ** 2 for xi, ci in zip(x, c))
-                if best_d is None or d < best_d:
-                    best, best_d = idx, d
-            counts[best] += 1
-            for i, xi in enumerate(x):
-                sums[best][i] += xi
-        new = [
-            [s / counts[cl] for s in sums[cl]] if counts[cl] else list(centroids[cl])
-            for cl in range(k)
-        ]
-        history.append([list(c) for c in new])
-        if T >= 2 and new == centroids:
-            return history, T
-        centroids = new
-    return history, max_rounds

@@ -3,8 +3,13 @@
 Every message sent at step t is delivered at step t+1; there is no loss,
 duplication, or reordering.  All nodes advance in lock step, so a run is a
 pure function of (graph, edge orders, initial data) and repeated runs are
-bit-identical.  The runners verify the protocol's step bounds and mass
-conservation as they go and fail loudly on any violation.
+bit-identical.  One engine, ``_LockStep``, runs every round of labeled
+averaging instances; the runners differ only in their stop rule.  Plain
+averaging is a one-label round that stops once every estimate is exact and
+every remaining mass carries the average; a clustering round stops when a
+stopping window closes with every cluster agreed.  The runners verify the
+protocol's step bounds and mass conservation and fail loudly on any
+violation.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .consensus import ConsensusState, Mass
+from .consensus import Mass
 from .coordination import all_settled, extrema_merge, snapshot, window_check
 from .exactmath import Fraction, FractionVector
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
@@ -23,6 +28,107 @@ from .kmeans import CentroidSet, NodeKMeansState, assign_cluster, finalize_round
 
 class ProtocolError(RuntimeError):
     """A protocol invariant or published bound failed; never ignored."""
+
+
+# --------------------------------------------------------------------------
+# the lock-step engine
+
+
+class _MessageStats:
+    __slots__ = ("max_component", "bits")
+
+    def __init__(self):
+        self.max_component = 0
+        self.bits = 0
+
+    def record(self, mass: Mass) -> None:
+        z = mass.z
+        if z > self.max_component:
+            self.max_component = z
+        self.bits += z.bit_length()
+        for v in mass.y:
+            a = v if v >= 0 else -v
+            if a > self.max_component:
+                self.max_component = a
+            self.bits += a.bit_length() + 1
+
+
+class _LockStep:
+    """One round of labeled averaging instances on every node.
+
+    Opening the round runs ``begin_round`` on every node and sends the
+    initial transmissions at the round's first step; each later step is
+    ``deliver`` followed by ``emit``.  Only this step's receivers are
+    polled.  That is exact: a trigger reads only its instance's held and
+    stored pairs, ``emit`` zeroes the held pair and only ``absorb_one``
+    changes it, so an instance that received nothing keeps its last verdict.
+    Log entries are ``(step_base + step, sender, receiver, label, z, y)``.
+    """
+
+    def __init__(self, nodes: list[NodeKMeansState], centroids: CentroidSet,
+                 stats: _MessageStats, log: Optional[list], step_base: int):
+        self.nodes = nodes
+        self.stats = stats
+        self.log = log
+        self.step_base = step_base
+        self.steps = 1
+        self.messages = 0
+        # messages in flight: (receiver, label, mass)
+        self.pending: list[tuple[int, int, Mass]] = []
+        self.opening = []       # window-opening snapshot values, per node
+        dim = centroids.dim
+        self.totals = [[0] * (dim + 1) for _ in range(centroids.k)]
+        for j, node in enumerate(nodes):
+            values, sends = node.begin_round(centroids)
+            self.opening.append(values)
+            row = self.totals[node.assignment]
+            for i, v in enumerate(node.x):
+                row[i] += v
+            row[dim] += 1
+            for cl, dest, mass in sends:
+                self.send(j, dest, cl, mass)
+
+    def send(self, sender: int, receiver: int, cl: int, mass: Mass) -> None:
+        self.pending.append((receiver, cl, mass))
+        self.messages += 1
+        self.stats.record(mass)
+        if self.log is not None:
+            self.log.append((self.step_base + self.steps, sender, receiver,
+                             cl, mass.z, mass.y))
+
+    def deliver(self) -> list[int]:
+        """Advance one step: every message in flight reaches its receiver.
+        Returns the receivers in ascending node order."""
+        self.steps += 1
+        nodes = self.nodes
+        receivers = set()
+        for receiver, cl, mass in self.pending:
+            nodes[receiver].instances[cl].absorb_one(mass.y, mass.z)
+            receivers.add(receiver)
+        self.pending = []
+        return sorted(receivers)
+
+    def emit(self, receivers: list[int]) -> None:
+        """Poll the step's receivers and send what their triggered
+        instances emit."""
+        nodes = self.nodes
+        for j in receivers:
+            for cl, dest, mass in nodes[j].mass_phase():
+                self.send(j, dest, cl, mass)
+
+    def check_conservation(self) -> None:
+        """Held plus in-flight mass must equal, label by label, the mass
+        injected when the round opened."""
+        for cl, injected in enumerate(self.totals):
+            states = [node.instances[cl] for node in self.nodes]
+            ys = [st.held_y for st in states]
+            zs = [st.held_z for st in states]
+            for _, label, mass in self.pending:
+                if label == cl:
+                    ys.append(mass.y)
+                    zs.append(mass.z)
+            if [*map(sum, zip(*ys)), sum(zs)] != injected:
+                raise ProtocolError("mass conservation violated")
 
 
 # --------------------------------------------------------------------------
@@ -69,20 +175,11 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     total_y = tuple(sum(v[i] for v in values) for i in range(dim))
     average = FractionVector(total_y, n)
     log: Optional[list] = [] if log_messages else None
-
-    states: list[ConsensusState] = []
-    pending: list[tuple[int, int, Mass]] = []
-    for j in range(n):
-        state, message = ConsensusState.create(values[j], 1, orders.targets(j))
-        states.append(state)
-        if message is None:
-            raise ProtocolError(f"node {j} sent no initial transmission")
-        pending.append((j, message[0], message[1]))
-        if log is not None:
-            log.append((0, j, message[0], 1, values[j]))
-
-    messages = len(pending)
-    per_step = [len(pending)]
+    nodes = [NodeKMeansState(j, values[j], orders.targets(j)) for j in range(n)]
+    # Plain averaging is a round with a single label; its first step is 0.
+    lock = _LockStep(nodes, CentroidSet([average]), _MessageStats(), log, -1)
+    states = [node.instances[0] for node in nodes]
+    per_step = [lock.messages]
     step_bound = n * g.m * g.m
     cap = step_bound + 4 * g.m + 64
 
@@ -106,47 +203,23 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
             for yi, ti in zip(st.held_y, total_y):
                 if yi * n != ti * z:
                     return False
-        for _, _, mass in pending:
+        for _, _, mass in lock.pending:
             for yi, ti in zip(mass.y, total_y):
                 if yi * n != ti * mass.z:
                     return False
         return True
 
-    def check_conservation() -> None:
-        sums = [0] * dim
-        z_sum = 0
-        for st in states:
-            z_sum += st.held_z
-            for i, yi in enumerate(st.held_y):
-                sums[i] += yi
-        for _, _, mass in pending:
-            z_sum += mass.z
-            for i, yi in enumerate(mass.y):
-                sums[i] += yi
-        if z_sum != n or tuple(sums) != total_y:
-            raise ProtocolError("mass conservation violated")
-
     step = 0
     first_stable: Optional[int] = 0 if estimates_exact() else None
-    check_conservation()
+    lock.check_conservation()
     while first_stable is None or not masses_settled():
         if step >= cap:
             raise ProtocolError(
                 f"no convergence within {cap} steps (bound {step_bound})")
         step += 1
-        inbox: list[list[Mass]] = [[] for _ in range(n)]
-        for _, receiver, mass in pending:
-            inbox[receiver].append(mass)
-        pending = []
-        for j, st in enumerate(states):
-            out = st.node_step(inbox[j])
-            if out is not None:
-                pending.append((j, out[0], out[1]))
-                messages += 1
-                if log is not None:
-                    log.append((step, j, out[0], out[1].z, out[1].y))
-        per_step.append(len(pending))
-        check_conservation()
+        lock.emit(lock.deliver())
+        per_step.append(len(lock.pending))
+        lock.check_conservation()
         if estimates_exact():
             if first_stable is None:
                 first_stable = step
@@ -157,11 +230,13 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     if S_t > step_bound:
         raise ProtocolError(
             f"convergence took {S_t} steps, above the bound {step_bound}")
+    if log is not None:
+        log = [(s, a, b, z, y) for s, a, b, _, z, y in log]
     return ConsensusTrace(
         n=n, m=g.m, dim=dim, steps=step, S_t=S_t, step_bound=step_bound,
         bound_ok=True, average=average,
         estimates=[st.estimate for st in states],
-        messages=messages, per_step_messages=per_step,
+        messages=lock.messages, per_step_messages=per_step,
         conservation_checked=True, message_log=log)
 
 
@@ -246,25 +321,6 @@ def distance_objective(observations: Sequence[Sequence[int]],
     return total
 
 
-class _MessageStats:
-    __slots__ = ("max_component", "bits")
-
-    def __init__(self):
-        self.max_component = 0
-        self.bits = 0
-
-    def record(self, mass: Mass) -> None:
-        z = mass.z
-        if z > self.max_component:
-            self.max_component = z
-        self.bits += z.bit_length()
-        for v in mass.y:
-            a = v if v >= 0 else -v
-            if a > self.max_component:
-                self.max_component = a
-            self.bits += a.bit_length() + 1
-
-
 def _window_verdict(snapshots: list):
     """The verdict every node reaches when a window closes.  With D at least
     the diameter the flood leaves every node holding the global extrema, so
@@ -280,78 +336,29 @@ def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
                log: Optional[list], step_base: int):
     """One full round of the inner loop: inject labeled masses, run the
     averaging instances with windowed stopping, return when a window closes
-    with no cluster still disagreeing.  No message leaves on the closing
-    step, so the bus is empty at every round boundary."""
-    n = len(nodes)
-    k = centroids.k
-    pending: list[tuple[int, int, int, Mass]] = []
-    snapshots = []
-    for j, node in enumerate(nodes):
-        snap_values, messages = node.begin_round(centroids)
-        snapshots.append(snapshot(snap_values))
-        for cl, dest, mass in messages:
-            pending.append((j, dest, cl, mass))
-            stats.record(mass)
-            if log is not None:
-                log.append((step_base + 1, j, dest, cl, mass.z, mass.y))
-    verdict = _window_verdict(snapshots)
-    steps = 1
-    mass_msgs = len(pending)
-    ext_msgs = m_edges
-
-    if check_conservation:
-        dim = nodes[0].instances[0].dim
-        label_totals = [[0] * (dim + 1) for _ in range(k)]
-        for node in nodes:
-            row = label_totals[node.assignment]
-            for i, v in enumerate(node.x):
-                row[i] += v
-            row[dim] += 1
-
+    with no cluster still disagreeing.  The window rule is applied after a
+    step's delivery and before its emission, so no message leaves on the
+    closing step and the bus is empty at every round boundary."""
+    lock = _LockStep(nodes, centroids, stats, log, step_base)
+    verdict = _window_verdict([snapshot(values) for values in lock.opening])
     merges = 0
     while True:
-        if steps > step_cap:
+        if lock.steps > step_cap:
             raise ProtocolError(
                 f"round did not stop within {step_cap} steps")
-        steps += 1
-        inbox: list[list[tuple[int, Mass]]] = [[] for _ in range(n)]
-        for _, receiver, cl, mass in pending:
-            inbox[receiver].append((cl, mass))
-        pending = []
-        for j, node in enumerate(nodes):
-            if inbox[j]:
-                instances = node.instances
-                for cl, mass in inbox[j]:
-                    instances[cl].absorb_one(mass.y, mass.z)
+        receivers = lock.deliver()
         if check_conservation:
-            seen = [[0] * (dim + 1) for _ in range(k)]
-            for node in nodes:
-                for cl, st in enumerate(node.instances):
-                    row = seen[cl]
-                    for i, v in enumerate(st.held_y):
-                        row[i] += v
-                    row[dim] += st.held_z
-            if seen != label_totals:
-                raise ProtocolError("mass conservation violated in round")
-
+            lock.check_conservation()
         merges += 1
         if merges == window:
             if all_settled(verdict):
-                if pending:
-                    raise ProtocolError("messages in flight at round close")
-                return steps, mass_msgs, ext_msgs, verdict
+                # m extrema messages on every step but the closing one
+                return (lock.steps, lock.messages,
+                        m_edges * (lock.steps - 1), verdict)
             verdict = _window_verdict(
                 [snapshot(node.held_snapshot_values()) for node in nodes])
             merges = 0
-
-        for j, node in enumerate(nodes):
-            for cl, dest, mass in node.mass_phase():
-                pending.append((j, dest, cl, mass))
-                mass_msgs += 1
-                stats.record(mass)
-                if log is not None:
-                    log.append((step_base + steps, j, dest, cl, mass.z, mass.y))
-        ext_msgs += m_edges
+        lock.emit(receivers)
 
 
 def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
@@ -477,6 +484,8 @@ class ExperimentConfig:
             raise ValueError("n must exceed 2")
         if not (1 <= self.k < self.n):
             raise ValueError("k must satisfy 1 <= k < n")
+        if self.dim < 1:
+            raise ValueError("dim must be a positive integer")
         if len(self.region) != self.dim:
             raise ValueError("one region interval per dimension is required")
         if self.scale < 1:

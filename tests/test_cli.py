@@ -171,6 +171,25 @@ class TestKMeansCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: bad interval") and "LO:HI" in err
 
+    def test_dim_without_one_interval_each_is_an_input_error(self, tmp_path,
+                                                            capsys):
+        rc = main(["kmeans", "--n", "6", "--k", "2", "--dim", "3",
+                   "--region", "0:5", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: one region interval per dimension is required\n"
+        assert not (tmp_path / "kmeans_summary.json").exists()
+
+    @pytest.mark.parametrize("command", ["kmeans", "sweep"])
+    def test_zero_dimensions_is_an_input_error(self, tmp_path, capsys,
+                                               command):
+        rc = main([command, "--n", "6", "--k", "2", "--dim", "0",
+                   "--box", "0:5", "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: dim must be a positive integer\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_small_sweep(self, tmp_path):

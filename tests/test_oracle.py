@@ -5,7 +5,7 @@ import pytest
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import generate_random_digraph
 from quantkmeans.oracle import (brute_average, check_equivalence,
-                                lloyd_float, lloyd_reference)
+                                lloyd_reference)
 from quantkmeans.sim import distance_objective, run_kmeans
 
 
@@ -89,10 +89,3 @@ class TestEquivalence:
         report = check_equivalence(trace, lloyd_reference(obs, cents))
         assert report.passed
         assert trace.centroid_sets[-1].centroids[1] == fv(9, 9)
-
-
-class TestFloatDemo:
-    def test_float_lloyd_runs_and_is_excluded_from_exact_claims(self):
-        history, T = lloyd_float([(0,), (1,), (2,)], [(0.0,)], max_rounds=10)
-        assert T >= 2
-        assert history[-1][0][0] == pytest.approx(1.0)

@@ -1,14 +1,18 @@
+import itertools
 import random
 
 import pytest
 
 from quantkmeans import sim
+from quantkmeans.consensus import ConsensusState
 from quantkmeans.coordination import flood_verdict
 from quantkmeans.exactmath import Fraction, FractionVector
-from quantkmeans.graph import Digraph, diameter, generate_random_digraph
+from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
+                               generate_random_digraph)
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
-from quantkmeans.sim import (ExperimentConfig, distance_objective,
-                             run_consensus, run_experiment, run_kmeans, sweep)
+from quantkmeans.sim import (ExperimentConfig, ProtocolError,
+                             distance_objective, run_consensus, run_experiment,
+                             run_kmeans, sweep)
 
 from conftest import cycle_digraph
 
@@ -91,6 +95,89 @@ class TestRunConsensus:
         assert all(v == 1 for v in by_step_sender.values())
 
 
+def reference_consensus(g, values, orders):
+    """The per-node protocol as a plain loop: every node runs ``node_step``
+    on its inbox at every step, with the stop rule of ``run_consensus``.
+    Returns the message log, S_t, the step count and the estimates."""
+    n = g.n
+    total = [sum(col) for col in zip(*values)]
+    states, pending, log = [], [], []
+    for j, v in enumerate(values):
+        state, (dest, mass) = ConsensusState.create(v, 1, orders.targets(j))
+        states.append(state)
+        pending.append((dest, mass))
+        log.append((0, j, dest, 1, v))
+
+    def carries_average(y, z):
+        return all(yi * n == ti * z for yi, ti in zip(y, total))
+
+    def estimates_exact():
+        return all(st.stored_z and carries_average(st.stored_y, st.stored_z)
+                   for st in states)
+
+    def masses_settled():
+        masses = [(st.held_y, st.held_z) for st in states if st.held_nonzero]
+        masses += [(mass.y, mass.z) for _, mass in pending]
+        return all(carries_average(y, z) for y, z in masses)
+
+    step = 0
+    first_stable = 0 if estimates_exact() else None
+    while first_stable is None or not masses_settled():
+        step += 1
+        inbox = [[] for _ in range(n)]
+        for dest, mass in pending:
+            inbox[dest].append(mass)
+        pending = []
+        for j, st in enumerate(states):
+            out = st.node_step(inbox[j])
+            if out is not None:
+                pending.append(out)
+                log.append((step, j, out[0], out[1].z, out[1].y))
+        if not estimates_exact():
+            first_stable = None
+        elif first_stable is None:
+            first_stable = step
+    return log, first_stable, step, [st.estimate for st in states]
+
+
+class TestLockStepMatchesPerNodeReference:
+    @pytest.mark.parametrize("case", range(12))
+    def test_run_consensus_matches_node_step_loop(self, case):
+        rng = random.Random(7100 + case)
+        n = rng.randint(4, 30)
+        dim = rng.randint(1, 3)
+        g = generate_random_digraph(n, (0.0, 0.2)[case % 2],
+                                    seed=rng.randint(0, 10 ** 6))
+        big = 10 ** 30
+        values = [tuple(rng.choice((rng.randint(-50, 50), big, -big,
+                                    big - rng.randint(1, 9)))
+                        for _ in range(dim)) for _ in range(n)]
+        orders = assign_edge_orders(g, seed=case if case % 3 else None)
+        log, S_t, steps, estimates = reference_consensus(g, values, orders)
+        trace = run_consensus(g, values, orders=orders, log_messages=True)
+        assert trace.message_log == log
+        assert (trace.S_t, trace.steps) == (S_t, steps)
+        assert [(e.nums, e.den) for e in trace.estimates] == \
+               [(e.nums, e.den) for e in estimates]
+        assert trace.messages == len(log)
+
+
+class TestConservationCheck:
+    def test_extra_counter_unit_is_caught(self, monkeypatch):
+        absorb_one = ConsensusState.absorb_one
+
+        def leaky(self, y, z):
+            absorb_one(self, y, z + 1)
+
+        monkeypatch.setattr(ConsensusState, "absorb_one", leaky)
+        with pytest.raises(ProtocolError, match="mass conservation violated"):
+            run_consensus(cycle_digraph(4), [(1,), (2,), (3,), (4,)])
+        g = generate_random_digraph(8, 0.3, seed=13)
+        obs = [(i, 2 * i) for i in range(8)]
+        with pytest.raises(ProtocolError, match="mass conservation violated"):
+            run_kmeans(g, obs, [fv(0, 0), fv(7, 14)], check_conservation=True)
+
+
 class TestRunKMeans:
     def test_single_cluster_needs_two_calculations(self):
         g = generate_random_digraph(5, 0.2, seed=8)
@@ -126,6 +213,19 @@ class TestRunKMeans:
         assert trace.silent_after_stop
         assert trace.flag_step == trace.C_t
         assert max(row[0] for row in trace.message_log) < trace.flag_step
+
+    def test_no_message_on_a_round_closing_step(self):
+        g = generate_random_digraph(12, 0.2, seed=21)
+        rng = random.Random(4)
+        obs = [tuple(rng.randint(0, 40) for _ in range(2)) for _ in range(12)]
+        trace = run_kmeans(g, obs, [fv(1, 1), fv(30, 30), fv(40, 0)],
+                           log_messages=True)
+        closing = set(itertools.accumulate(r.steps for r in trace.rounds[1:]))
+        logged = {row[0] for row in trace.message_log}
+        assert len(closing) == trace.T >= 2
+        assert not closing & logged
+        # the next round's initial transmissions leave right after a close
+        assert {step + 1 for step in closing if step < trace.C_t} <= logged
 
     def test_deterministic_repetition(self):
         g = generate_random_digraph(10, 0.25, seed=2)
@@ -249,6 +349,10 @@ class TestExperimentsAndSweep:
             ExperimentConfig(n=10, k=10).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(dim=3).validate()     # region has 2 intervals
+
+    def test_config_rejects_zero_dimensions(self):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            ExperimentConfig(dim=0, region=()).validate()
 
     def test_small_sweep_aggregates(self):
         cfg = ExperimentConfig(n=10, k=2, dim=2, region=((0, 15), (0, 15)),
