@@ -3,9 +3,8 @@ messaging, exact rational centroids, event-triggered transmissions, and
 distributed stopping, together with a deterministic lock-step simulator."""
 
 from .consensus import ConsensusState, Mass
-from .coordination import (Agreed, DISAGREED, EMPTY, ExtremaState,
-                           extrema_merge, max_consensus_step,
-                           min_consensus_step, snapshot, window_check)
+from .coordination import (Agreed, DISAGREED, EMPTY, extrema_merge, snapshot,
+                           window_check)
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected,
@@ -20,14 +19,14 @@ from .sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
 
 __all__ = [
     "Agreed", "CentroidSet", "ConsensusState", "ConsensusTrace", "DISAGREED",
-    "Digraph", "EMPTY", "EdgeOrdering", "ExperimentConfig", "ExtremaState",
-    "Fraction", "FractionVector", "KMeansTrace", "Mass", "NodeKMeansState",
+    "Digraph", "EMPTY", "EdgeOrdering", "ExperimentConfig", "Fraction",
+    "FractionVector", "KMeansTrace", "Mass", "NodeKMeansState",
     "ProtocolError", "SweepResult", "assign_cluster", "assign_edge_orders",
     "brute_average", "check_equivalence", "diameter", "distance_objective",
     "extrema_merge", "finalize_round", "generate_random_digraph",
     "init_round", "is_strongly_connected", "lloyd_reference",
-    "max_consensus_step", "min_consensus_step", "parse_centroids",
-    "parse_edge_list", "parse_observations", "refinement_value",
-    "run_consensus", "run_experiment", "run_kmeans", "serialize_edge_list",
-    "snapshot", "sq_dist_exact", "sweep", "window_check",
+    "parse_centroids", "parse_edge_list", "parse_observations",
+    "refinement_value", "run_consensus", "run_experiment", "run_kmeans",
+    "serialize_edge_list", "snapshot", "sq_dist_exact", "sweep",
+    "window_check",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .exactmath import FractionVector
@@ -87,8 +86,21 @@ def _d_bound_value(text: str):
     return text if text == "auto" else int(text)
 
 
-def _experiment_config(args) -> ExperimentConfig:
+def _experiment_config(args, implied: dict[str, int]) -> ExperimentConfig:
+    """The experiment the flags and the config file describe.  ``implied``
+    holds the n, k and dim that input files fix; those are recorded, and a
+    flag or config-file value that differs is an input error."""
     file_values = _load_config_file(args.config)
+
+    def size(key: str, default: int) -> int:
+        given = _pick(args, file_values, key, None, int)
+        if key not in implied:
+            return default if given is None else given
+        if given is not None and given != implied[key]:
+            raise ValueError(f"{key}={given} conflicts with {key}={implied[key]} "
+                             f"implied by the input files")
+        return implied[key]
+
     base_seed = _pick(args, file_values, "seed", None, int)
     graph_seed = _pick(args, file_values, "graph_seed", None, int)
     obs_seed = _pick(args, file_values, "observation_seed", None, int)
@@ -97,7 +109,7 @@ def _experiment_config(args) -> ExperimentConfig:
         graph_seed = graph_seed if graph_seed is not None else base_seed
         obs_seed = obs_seed if obs_seed is not None else base_seed + 1
         centroid_seed = centroid_seed if centroid_seed is not None else base_seed + 2
-    dim = _pick(args, file_values, "dim", 2, int)
+    dim = size("dim", 2)
     region_text = _pick(args, file_values, "region", None, str)
     box = _pick(args, file_values, "box", None, str)
     if region_text is not None:
@@ -107,8 +119,8 @@ def _experiment_config(args) -> ExperimentConfig:
     else:
         region = tuple((0, 50) for _ in range(dim))
     return ExperimentConfig(
-        n=_pick(args, file_values, "n", 100, int),
-        k=_pick(args, file_values, "k", 3, int),
+        n=size("n", 100),
+        k=size("k", 3),
         dim=dim,
         region=region,
         extra_edge_probability=_pick(args, file_values, "p", 0.05, float),
@@ -181,33 +193,44 @@ def cmd_consensus(args) -> int:
                    [(s, a, b, z, " ".join(map(str, y)))
                     for s, a, b, z, y in trace.message_log])
     print(f"S_t={trace.S_t} bound={trace.step_bound} bound_ok={trace.bound_ok}")
+    if not trace.bound_ok:
+        print(f"protocol violation: S_t={trace.S_t} exceeds the step bound "
+              f"{trace.step_bound}", file=sys.stderr)
+        return 1
     return 0
 
 
-def _load_kmeans_inputs(args, config: ExperimentConfig):
+def _read_kmeans_inputs(args):
+    """Parse the input files given (None where an input is generated) and
+    the n, k and dim they imply."""
+    g = observations = centroids = None
+    implied: dict[str, int] = {}
     if args.graph is not None:
         g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
-        if g.n != config.n:
-            config = replace(config, n=g.n)
-    else:
-        g = generate_random_digraph(config.n, config.extra_edge_probability,
-                                    config.graph_seed)
+        implied["n"] = g.n
     if args.observations is not None:
         observations = parse_observations(
             Path(args.observations).read_text(encoding="utf-8"))
-    else:
-        observations = generate_observations(config)
+        implied.setdefault("n", len(observations))
+        implied["dim"] = len(observations[0])
     if args.centroids is not None:
         centroids = parse_centroids(Path(args.centroids).read_text(encoding="utf-8"))
-    else:
-        centroids = generate_centroids(config)
-    return g, observations, centroids, config
+        implied["k"] = len(centroids)
+        implied.setdefault("dim", centroids[0].dim)
+    return g, observations, centroids, implied
 
 
 def cmd_kmeans(args) -> int:
-    config = _experiment_config(args)
+    g, observations, centroids, implied = _read_kmeans_inputs(args)
+    config = _experiment_config(args, implied)
     config.validate()
-    g, observations, centroids, config = _load_kmeans_inputs(args, config)
+    if g is None:
+        g = generate_random_digraph(config.n, config.extra_edge_probability,
+                                    config.graph_seed)
+    if observations is None:
+        observations = generate_observations(config)
+    if centroids is None:
+        centroids = generate_centroids(config)
     trace = run_kmeans(g, observations, centroids,
                        d_bound=config.d_bound, max_rounds=config.max_rounds,
                        check_conservation=not args.no_conservation_check,
@@ -279,11 +302,15 @@ def cmd_kmeans(args) -> int:
                    [(s, a, b, cl, z, " ".join(map(str, y)))
                     for s, a, b, cl, z, y in trace.message_log])
     print(f"T={trace.T} C_t={trace.C_t} terminated={trace.terminated}")
+    if not trace.bound_ok:
+        print(f"protocol violation: C_t={trace.C_t} exceeds the step bound "
+              f"{trace.step_bound}", file=sys.stderr)
+        exit_code = 1
     return exit_code
 
 
 def cmd_sweep(args) -> int:
-    config = _experiment_config(args)
+    config = _experiment_config(args, {})
     result = sweep(config, args.seeds, workers=args.workers)
     out = _out_dir(args)
     config_dict = dict(result.config)
@@ -317,6 +344,11 @@ def cmd_sweep(args) -> int:
     if result.band_violations:
         print(f"warning: T outside sanity band {result.band} for seeds "
               f"{result.band_violations}", file=sys.stderr)
+    if not result.all_bounds_ok:
+        print("protocol violation: step bound exceeded for seeds "
+              f"{[r['seed'] for r in result.per_seed if not r['bound_ok']]}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

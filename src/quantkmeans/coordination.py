@@ -18,29 +18,9 @@ reference that tests compare the fold against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Optional, Sequence
 
 from .exactmath import FractionVector
-
-T = TypeVar("T")
-
-
-def max_consensus_step(own: T, received: Iterable[T]) -> T:
-    """One synchronous update: the maximum of the node's value and every
-    value heard from in-neighbors this step."""
-    best = own
-    for value in received:
-        if value > best:
-            best = value
-    return best
-
-
-def min_consensus_step(own: T, received: Iterable[T]) -> T:
-    best = own
-    for value in received:
-        if value < best:
-            best = value
-    return best
 
 
 @dataclass(frozen=True)
@@ -50,27 +30,14 @@ class ClusterExtrema:
     lower: FractionVector
 
 
-class ExtremaState:
-    """Per-cluster extrema for one node; ``None`` entries mean the node has
-    observed no contribution for that cluster in the current window."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[Optional[ClusterExtrema]]):
-        self.entries = tuple(entries)
-
-    def defined(self, cl: int) -> bool:
-        return self.entries[cl] is not None
-
-    def __repr__(self) -> str:
-        return f"ExtremaState({self.entries!r})"
+# A node's extrema: one entry per cluster label; ``None`` means the node has
+# observed no contribution for that cluster in the current window.
+Extrema = tuple[Optional[ClusterExtrema], ...]
 
 
-def snapshot(values: Sequence[Optional[FractionVector]]) -> ExtremaState:
+def snapshot(values: Sequence[Optional[FractionVector]]) -> Extrema:
     """Open a window: each present value seeds both extrema for its cluster."""
-    return ExtremaState(
-        None if v is None else ClusterExtrema(v, v) for v in values
-    )
+    return tuple(None if v is None else ClusterExtrema(v, v) for v in values)
 
 
 def _merge_entry(a: Optional[ClusterExtrema],
@@ -83,14 +50,12 @@ def _merge_entry(a: Optional[ClusterExtrema],
                           a.lower.elementwise_min(b.lower))
 
 
-def extrema_merge(own: ExtremaState,
-                  received: Iterable[ExtremaState]) -> ExtremaState:
+def extrema_merge(own: Extrema, received: Iterable[Extrema]) -> Extrema:
     """Fold received extrema into the node's own, per cluster and dimension.
     Absent entries act as identity elements."""
-    entries = own.entries
     for other in received:
-        entries = tuple(map(_merge_entry, entries, other.entries))
-    return ExtremaState(entries)
+        own = tuple(map(_merge_entry, own, other))
+    return own
 
 
 @dataclass(frozen=True)
@@ -116,11 +81,11 @@ EMPTY = _Sentinel("EMPTY")
 WindowOutcome = object  # Agreed | DISAGREED | EMPTY
 
 
-def window_check(state: ExtremaState) -> tuple[WindowOutcome, ...]:
+def window_check(state: Extrema) -> tuple[WindowOutcome, ...]:
     """Close a window: per cluster, Agreed when max equals min exactly in
     every dimension, Empty when nobody contributed, Disagreed otherwise."""
     outcomes: list[WindowOutcome] = []
-    for entry in state.entries:
+    for entry in state:
         if entry is None:
             outcomes.append(EMPTY)
         elif entry.upper == entry.lower:
@@ -136,7 +101,7 @@ def all_settled(outcomes: Iterable[WindowOutcome]) -> bool:
 
 
 def flood_verdict(in_nbrs: Sequence[Sequence[int]],
-                  snapshots: Sequence[ExtremaState],
+                  snapshots: Sequence[Extrema],
                   rounds: int) -> tuple[WindowOutcome, ...]:
     """Reference for one stopping window as the protocol runs it: every node
     merges the extrema of its in-neighbors (``in_nbrs[j]``) for ``rounds``

@@ -50,9 +50,6 @@ class Digraph:
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         return self._out[j]
 
-    def in_degree(self, j: int) -> int:
-        return len(self._in[j])
-
     def out_degree(self, j: int) -> int:
         return len(self._out[j])
 

@@ -174,7 +174,7 @@ class NodeKMeansState:
         outgoing (cluster label, destination, mass) transmissions."""
         out = []
         for cl, state in enumerate(self.instances):
-            if state.held_nonzero and state.trigger():
+            if state.trigger():
                 target, mass = state.emit()
                 out.append((cl, target, mass))
         return out

@@ -7,7 +7,7 @@ protocol bug rather than arithmetic drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactmath import FractionVector
@@ -76,13 +76,8 @@ def lloyd_reference(observations: Sequence[Sequence[int]],
 @dataclass
 class EquivalenceReport:
     passed: bool
-    rounds_compared: int
     first_divergence: Optional[tuple[int, int]] = None   # (round, cluster)
     detail: str = ""
-    notes: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def check_equivalence(trace, oracle: LloydResult) -> EquivalenceReport:
@@ -97,16 +92,16 @@ def check_equivalence(trace, oracle: LloydResult) -> EquivalenceReport:
         for cl in range(a.k):
             if a.centroids[cl] != b.centroids[cl]:
                 return EquivalenceReport(
-                    False, rounds, (t, cl),
+                    False, (t, cl),
                     f"round {t} cluster {cl}: distributed "
                     f"{a.centroids[cl]} vs reference {b.centroids[cl]}")
     if trace.T != oracle.T:
         return EquivalenceReport(
-            False, rounds, (rounds, -1),
+            False, (rounds, -1),
             f"calculation counts differ: distributed T={trace.T}, "
             f"reference T={oracle.T}")
     if len(distributed) != len(reference):
         return EquivalenceReport(
-            False, rounds, (rounds, -1),
+            False, (rounds, -1),
             f"sequence lengths differ: {len(distributed)} vs {len(reference)}")
-    return EquivalenceReport(True, rounds, None, "identical centroid sequences")
+    return EquivalenceReport(True, None, "identical centroid sequences")

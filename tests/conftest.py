@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quantkmeans import sim
 from quantkmeans.graph import Digraph
 
 
@@ -17,3 +18,26 @@ def complete_digraph(n: int) -> Digraph:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def over_step_bound(monkeypatch):
+    """Runs overshoot their step bound: every message spends eight steps in
+    flight, and every clustering round reports n*m^2 + D extra steps, its
+    whole share of the bound."""
+    deliver = sim._LockStep.deliver
+
+    def slow_deliver(self):
+        if self.steps % 8:
+            self.steps += 1
+            return []
+        return deliver(self)
+
+    run_round = sim._run_round
+
+    def long_round(nodes, centroids, window, m_edges, *args):
+        steps, *rest = run_round(nodes, centroids, window, m_edges, *args)
+        return (steps + len(nodes) * m_edges ** 2 + window, *rest)
+
+    monkeypatch.setattr(sim._LockStep, "deliver", slow_deliver)
+    monkeypatch.setattr(sim, "_run_round", long_round)

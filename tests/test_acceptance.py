@@ -11,7 +11,7 @@ import random
 import pytest
 
 from quantkmeans.cli import main as cli_main
-from quantkmeans.coordination import max_consensus_step, min_consensus_step
+from quantkmeans.coordination import ClusterExtrema, extrema_merge, snapshot
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
@@ -121,15 +121,14 @@ def test_criterion_3_extrema_flood_in_diameter_rounds():
                                     seed=rng.randint(0, 10 ** 9))
         rounds = diameter(g)
         values = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
-        top, bottom = list(values), list(values)
+        states = [snapshot([FractionVector((v,))]) for v in values]
         for _ in range(rounds):
-            top = [max_consensus_step(top[j], [top[i] for i in g.in_neighbors(j)])
-                   for j in range(n)]
-            bottom = [min_consensus_step(bottom[j],
-                                         [bottom[i] for i in g.in_neighbors(j)])
+            states = [extrema_merge(states[j],
+                                    [states[i] for i in g.in_neighbors(j)])
                       for j in range(n)]
-        assert top == [max(values)] * n
-        assert bottom == [min(values)] * n
+        extrema = (ClusterExtrema(FractionVector((max(values),)),
+                                  FractionVector((min(values),))),)
+        assert states == [extrema] * n
         checked += 1
     print(f"\n[criterion 3] PASS: global extrema reached after exactly D "
           f"merge rounds on {checked} graphs")

@@ -151,6 +151,52 @@ class TestKMeansCommand:
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
         assert summary["equivalence"] == "pass"
 
+    def write_inputs(self, tmp_path):
+        """A 6-node cycle, six 2-dim observations and two centroids."""
+        graph = tmp_path / "g.txt"
+        graph.write_text("6 6\n" + "".join(f"{(i + 1) % 6} {i}\n"
+                                           for i in range(6)),
+                         encoding="utf-8")
+        obs = tmp_path / "obs.txt"
+        obs.write_text("0 0\n1 1\n2 2\n8 8\n9 9\n10 10\n", encoding="utf-8")
+        cents = tmp_path / "cents.txt"
+        cents.write_text("0 0\n9 9\n", encoding="utf-8")
+        return ["--graph", str(graph), "--observations", str(obs),
+                "--centroids", str(cents)]
+
+    def test_config_records_what_the_input_files_imply(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["kmeans", *self.write_inputs(tmp_path), "--box", "0:5",
+                   "--out-dir", str(out)])
+        assert rc == 0
+        summary = json.loads(read(out / "kmeans_summary.json"))
+        config = summary["config"]
+        assert (config["n"], config["k"], config["dim"]) == (6, 2, 2)
+        assert config["region"] == [[0, 5], [0, 5]]
+        assert (summary["n"], summary["k"], summary["dim"]) == (6, 2, 2)
+        assert read(out / "rounds.csv").startswith(
+            "# config: " + json.dumps(config, sort_keys=True))
+
+    @pytest.mark.parametrize("key, value, implied", [
+        ("n", 12, 6), ("k", 4, 2), ("dim", 3, 2)])
+    @pytest.mark.parametrize("source", ["flag", "config file"])
+    def test_conflicting_size_is_an_input_error(self, tmp_path, capsys,
+                                                key, value, implied, source):
+        args = ["kmeans", *self.write_inputs(tmp_path)]
+        if source == "flag":
+            args += [f"--{key}", str(value)]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}={value}\n", encoding="utf-8")
+            args += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        rc = main(args + ["--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {key}={value} conflicts with {key}={implied} "
+            f"implied by the input files\n")
+        assert not out.exists()
+
     def test_zero_denominator_centroid_is_an_input_error(self, tmp_path, capsys):
         cents = tmp_path / "cents.txt"
         cents.write_text("0 0\n1/0 7\n", encoding="utf-8")
@@ -189,6 +235,42 @@ class TestKMeansCommand:
         assert capsys.readouterr().err == \
             "error: dim must be a positive integer\n"
         assert list(tmp_path.iterdir()) == []
+
+
+class TestStepBoundViolation:
+    def test_kmeans_reports_and_exits_nonzero(self, tmp_path, capsys,
+                                              over_step_bound):
+        rc = main(KMEANS_ARGS + ["--out-dir", str(tmp_path)])
+        assert rc == 1
+        summary = json.loads(read(tmp_path / "kmeans_summary.json"))
+        assert summary["bound_ok"] is False
+        assert capsys.readouterr().err == (
+            f"protocol violation: C_t={summary['C_t']} exceeds the step "
+            f"bound {summary['step_bound']}\n")
+
+    def test_consensus_reports_and_exits_nonzero(self, tmp_path, capsys,
+                                                 over_step_bound):
+        graph = tmp_path / "g.txt"
+        graph.write_text("3 3\n1 0\n2 1\n0 2\n", encoding="utf-8")
+        values = tmp_path / "v.txt"
+        values.write_text("5\n0\n0\n", encoding="utf-8")
+        rc = main(["consensus", "--graph", str(graph), "--values", str(values),
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        summary = json.loads(read(tmp_path / "consensus_summary.json"))
+        assert summary["bound_ok"] is False
+        assert capsys.readouterr().err.startswith("protocol violation: S_t=")
+
+    def test_sweep_reports_and_exits_nonzero(self, tmp_path, capsys,
+                                             over_step_bound):
+        rc = main(["sweep", "--n", "10", "--k", "2", "--p", "0.25",
+                   "--box", "0:15", "--seed", "3", "--seeds", "2",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        aggregate = json.loads(read(tmp_path / "sweep_aggregate.json"))
+        assert aggregate["all_bounds_ok"] is False
+        assert capsys.readouterr().err == \
+            "protocol violation: step bound exceeded for seeds [0, 1]\n"
 
 
 class TestSweepCommand:

@@ -3,10 +3,9 @@ import random
 import pytest
 
 from quantkmeans.coordination import (Agreed, DISAGREED, EMPTY, all_settled,
-                                      extrema_merge, flood_verdict,
-                                      max_consensus_step, min_consensus_step,
-                                      snapshot, window_check)
-from quantkmeans.exactmath import Fraction, FractionVector
+                                      extrema_merge, flood_verdict, snapshot,
+                                      window_check)
+from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
 
 from conftest import cycle_digraph
@@ -16,64 +15,20 @@ def fv(*nums, den=1):
     return FractionVector(tuple(nums), den)
 
 
-class TestMaxMinStep:
-    def test_takes_maximum_of_own_and_received(self):
-        assert max_consensus_step(3, [5, 2]) == 5
-
-    def test_no_neighbors_heard_is_identity(self):
-        assert max_consensus_step(7, []) == 7
-        assert min_consensus_step(7, []) == 7
-
-    def test_works_on_exact_fractions(self):
-        assert max_consensus_step(Fraction(3, 1), [Fraction(7, 2)]) == Fraction(7, 2)
-        assert min_consensus_step(Fraction(3, 1), [Fraction(7, 2)]) == Fraction(3, 1)
-
-    def test_cycle_converges_in_diameter_rounds(self):
-        g = cycle_digraph(4)
-        rounds = diameter(g)
-        assert rounds == 3
-        values = [1, 9, 2, 3]
-        for _ in range(rounds):
-            values = [
-                max_consensus_step(values[j],
-                                   [values[i] for i in g.in_neighbors(j)])
-                for j in range(g.n)
-            ]
-        assert values == [9, 9, 9, 9]
-
-    def test_global_extrema_after_diameter_rounds_random_graphs(self):
-        rng = random.Random(77)
-        for _ in range(30):
-            n = rng.randint(4, 30)
-            g = generate_random_digraph(n, rng.choice([0.0, 0.1, 0.4]),
-                                        seed=rng.randint(0, 10 ** 6))
-            rounds = diameter(g)
-            values = [rng.randint(-1000, 1000) for _ in range(n)]
-            top, bottom = list(values), list(values)
-            for _ in range(rounds):
-                top = [max_consensus_step(top[j], [top[i] for i in g.in_neighbors(j)])
-                       for j in range(n)]
-                bottom = [min_consensus_step(bottom[j],
-                                             [bottom[i] for i in g.in_neighbors(j)])
-                          for j in range(n)]
-            assert top == [max(values)] * n
-            assert bottom == [min(values)] * n
-
-
 class TestSnapshot:
     def test_present_value_seeds_both_extrema(self):
         state = snapshot([fv(7, den=2), None])
-        assert state.defined(0) and not state.defined(1)
-        entry = state.entries[0]
+        assert state[0] is not None and state[1] is None
+        entry = state[0]
         assert entry.upper == fv(7, den=2) and entry.lower == fv(7, den=2)
 
     def test_all_absent(self):
         state = snapshot([None, None, None])
-        assert all(e is None for e in state.entries)
+        assert all(e is None for e in state)
 
     def test_vector_value(self):
         state = snapshot([fv(9, 12, den=3)])
-        assert state.entries[0].upper == fv(3, 4)
+        assert state[0].upper == fv(3, 4)
 
 
 class TestMerge:
@@ -81,33 +36,33 @@ class TestMerge:
         own = snapshot([fv(3)])
         other = snapshot([fv(7, den=2)])
         merged = extrema_merge(own, [other])
-        assert merged.entries[0].upper == fv(7, den=2)
-        assert merged.entries[0].lower == fv(3)
+        assert merged[0].upper == fv(7, den=2)
+        assert merged[0].lower == fv(3)
 
     def test_undefined_adopts_defined(self):
         own = snapshot([None])
         other = snapshot([fv(5)])
         merged = extrema_merge(own, [other])
-        assert merged.entries[0] == other.entries[0]
+        assert merged[0] == other[0]
 
     def test_per_dimension_extrema(self):
         own = snapshot([fv(1, 5)])
         other = snapshot([fv(2, 3)])
         merged = extrema_merge(own, [other])
-        assert merged.entries[0].upper == fv(2, 5)
-        assert merged.entries[0].lower == fv(1, 3)
+        assert merged[0].upper == fv(2, 5)
+        assert merged[0].lower == fv(1, 3)
 
     def test_merge_with_nothing_or_itself_keeps_own_values(self):
         own = snapshot([fv(1, 5)])
-        assert extrema_merge(own, []).entries == own.entries
-        assert extrema_merge(own, [own]).entries == own.entries
+        assert extrema_merge(own, []) == own
+        assert extrema_merge(own, [own]) == own
 
     def test_order_independent(self):
         states = [snapshot([fv(3, 1)]), snapshot([fv(1, 4)]), snapshot([None])]
         a = extrema_merge(states[0], [states[1], states[2]])
         b = extrema_merge(states[0], [states[2], states[1]])
-        assert a.entries[0].upper == b.entries[0].upper
-        assert a.entries[0].lower == b.entries[0].lower
+        assert a[0].upper == b[0].upper
+        assert a[0].lower == b[0].lower
 
 
 class TestWindowCheck:
@@ -162,7 +117,7 @@ class TestFloodedExtremaMatchDirectComputation:
                 coords = [fractions.Fraction(v.nums[dim], v.den) for v in present]
                 hi, lo = max(coords), min(coords)
                 for state in states:
-                    entry = state.entries[0]
+                    entry = state[0]
                     up = entry.upper.component(dim)
                     down = entry.lower.component(dim)
                     assert fractions.Fraction(up.num, up.den) == hi

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from quantkmeans import sim
-from quantkmeans.consensus import ConsensusState
+from quantkmeans.consensus import ConsensusState, Mass
 from quantkmeans.coordination import flood_verdict
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
                                generate_random_digraph)
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
-from quantkmeans.sim import (ExperimentConfig, ProtocolError,
+from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
                              run_kmeans, sweep)
 
@@ -176,6 +176,50 @@ class TestConservationCheck:
         obs = [(i, 2 * i) for i in range(8)]
         with pytest.raises(ProtocolError, match="mass conservation violated"):
             run_kmeans(g, obs, [fv(0, 0), fv(7, 14)], check_conservation=True)
+
+
+class TestReportedGuarantees:
+    def test_bound_ok_is_false_when_a_run_overshoots(self, over_step_bound):
+        trace = run_consensus(cycle_digraph(3), [(5,), (0,), (0,)])
+        assert trace.S_t > trace.step_bound
+        assert trace.bound_ok is False
+        trace = run_kmeans(cycle_digraph(4), [(i,) for i in range(4)],
+                           [fv(0), fv(3)])
+        assert trace.C_t > trace.step_bound
+        assert trace.bound_ok is False
+
+    def test_all_bounds_ok_is_false_when_one_seed_overshoots(self,
+                                                             monkeypatch):
+        cfg = ExperimentConfig(n=10, k=2, dim=2, region=((0, 15), (0, 15)),
+                               extra_edge_probability=0.2)
+        run = sim.run_experiment
+
+        def seed_one_over_bound(config, **kwargs):
+            trace = run(config, **kwargs)
+            trace.bound_ok = config != config_for_seed(cfg, 1)
+            return trace
+
+        monkeypatch.setattr(sim, "run_experiment", seed_one_over_bound)
+        result = sweep(cfg, 3)
+        assert [row["bound_ok"] for row in result.per_seed] == \
+               [True, False, True]
+        assert result.all_bounds_ok is False
+
+    def test_a_send_on_the_flag_step_is_not_silent(self, monkeypatch):
+        deliver = sim._LockStep.deliver
+
+        def deliver_and_chatter(self):
+            # a zero mass changes no held pair and fires no trigger
+            receivers = deliver(self)
+            self.send(0, 1, 0, Mass((0,), 0))
+            return receivers
+
+        monkeypatch.setattr(sim._LockStep, "deliver", deliver_and_chatter)
+        trace = run_kmeans(cycle_digraph(4), [(i,) for i in range(4)],
+                           [fv(0), fv(3)], log_messages=True)
+        assert trace.terminated
+        assert max(row[0] for row in trace.message_log) == trace.flag_step
+        assert trace.silent_after_stop is False
 
 
 class TestRunKMeans:
