@@ -182,7 +182,6 @@ def cmd_consensus(args) -> int:
         "messages": trace.messages,
         "average": str(trace.average),
         "estimates": [str(e) for e in trace.estimates],
-        "conservation_checked": trace.conservation_checked,
     })
     _write_csv(out / "consensus_trace.csv", config,
                ["step", "messages_sent"],
@@ -233,7 +232,6 @@ def cmd_kmeans(args) -> int:
         centroids = generate_centroids(config)
     trace = run_kmeans(g, observations, centroids,
                        d_bound=config.d_bound, max_rounds=config.max_rounds,
-                       check_conservation=not args.no_conservation_check,
                        log_messages=args.log_messages)
     config_dict = config.as_dict()
     config_dict.update({
@@ -382,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_consensus)
 
     def add_experiment_flags(p):
-        p.add_argument("--graph", help="edge-list file (else generated)")
-        p.add_argument("--observations", help="observations file (else generated)")
-        p.add_argument("--centroids", help="initial centroids file (else generated)")
         p.add_argument("--n", type=int)
         p.add_argument("--k", type=int)
         p.add_argument("--dim", type=int)
@@ -403,11 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-rounds", dest="max_rounds", type=int)
 
     km = sub.add_parser("kmeans", help="run one clustering experiment")
+    km.add_argument("--graph", help="edge-list file (else generated)")
+    km.add_argument("--observations", help="observations file (else generated)")
+    km.add_argument("--centroids", help="initial centroids file (else generated)")
     add_experiment_flags(km)
     km.add_argument("--oracle-check", action="store_true",
                     help="also run the centralized reference and compare")
     km.add_argument("--log-messages", action="store_true")
-    km.add_argument("--no-conservation-check", action="store_true")
     add_common(km)
     km.set_defaults(func=cmd_kmeans)
 

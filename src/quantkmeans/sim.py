@@ -7,10 +7,11 @@ bit-identical.  One engine, ``_LockStep``, runs every round of labeled
 averaging instances; the runners differ only in their stop rule.  Plain
 averaging is a one-label round that stops once every estimate is exact and
 every remaining mass carries the average; a clustering round stops when a
-stopping window closes with every cluster agreed.  The runners check mass
-conservation and fail loudly on a violation; they report whether the run
-kept the protocol's step bound (``bound_ok``) and, for clustering, whether
-the bus stayed silent from the flag step on (``silent_after_stop``).
+stopping window closes with every cluster agreed.  Mass conservation is
+checked on every step of plain averaging and at every window boundary of a
+clustering round, and a violation fails loudly.  The runners report whether
+the run kept the protocol's step bound (``bound_ok``) and, for clustering,
+whether the bus stayed silent from the flag step on (``silent_after_stop``).
 """
 
 from __future__ import annotations
@@ -151,7 +152,6 @@ class ConsensusTrace:
     estimates: list[FractionVector]
     messages: int
     per_step_messages: list[int]
-    conservation_checked: bool
     message_log: Optional[list[tuple[int, int, int, int, tuple[int, ...]]]] = None
 
 
@@ -237,8 +237,7 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
         n=n, m=g.m, dim=dim, steps=step, S_t=S_t, step_bound=step_bound,
         bound_ok=S_t <= step_bound, average=average,
         estimates=[st.estimate for st in states],
-        messages=lock.messages, per_step_messages=per_step,
-        conservation_checked=True, message_log=log)
+        messages=lock.messages, per_step_messages=per_step, message_log=log)
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +276,6 @@ class KMeansTrace:
     mass_payload_bits: int
     flag_step: Optional[int]
     silent_after_stop: bool
-    conservation_checked: bool
     message_log: Optional[list[tuple[int, int, int, int, int, tuple[int, ...]]]] = None
     config: Optional[dict] = None
 
@@ -329,13 +327,14 @@ def _window_verdict(snapshots: list):
 def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
                window: int, m_edges: int,
                step_cap: int, stats: _MessageStats,
-               check_conservation: bool,
                log: Optional[list], step_base: int):
     """One full round of the inner loop: inject labeled masses, run the
     averaging instances with windowed stopping, return when a window closes
     with no cluster still disagreeing.  The window rule is applied after a
     step's delivery and before its emission, so no message leaves on the
-    closing step and the bus is empty at every round boundary."""
+    closing step and the bus is empty at every round boundary.  Each window
+    boundary first checks conservation, so every verdict, the closing one
+    included, comes from checked masses."""
     lock = _LockStep(nodes, centroids, stats, log, step_base)
     verdict = _window_verdict([snapshot(values) for values in lock.opening])
     merges = 0
@@ -344,10 +343,9 @@ def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
             raise ProtocolError(
                 f"round did not stop within {step_cap} steps")
         receivers = lock.deliver()
-        if check_conservation:
-            lock.check_conservation()
         merges += 1
         if merges == window:
+            lock.check_conservation()
             if all_settled(verdict):
                 # m extrema messages on every step but the closing one
                 return (lock.steps, lock.messages,
@@ -363,7 +361,6 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
                d_bound: int | str | None = None,
                max_rounds: int = 100,
                orders: EdgeOrdering | None = None,
-               check_conservation: bool = True,
                log_messages: bool = False) -> KMeansTrace:
     """Execute the distributed clustering protocol to termination (two equal
     consecutive centroid calculations) or until max_rounds calculations."""
@@ -412,8 +409,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     while T < max_rounds and not terminated:
         T += 1
         steps, mass_msgs, ext_msgs, outcomes = _run_round(
-            nodes, current, window, g.m, per_round_cap, stats,
-            check_conservation, log, C_t)
+            nodes, current, window, g.m, per_round_cap, stats, log, C_t)
         current, unchanged = finalize_round(outcomes, current)
         centroid_sets.append(current)
         assignments = [assign_cluster(v, current) for v in x]
@@ -438,7 +434,6 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
         mass_payload_bits=stats.bits,
         flag_step=C_t if terminated else None,
         silent_after_stop=terminated and stats.last_step < C_t,
-        conservation_checked=check_conservation,
         message_log=log, config=None)
 
 
@@ -484,6 +479,8 @@ class ExperimentConfig:
             raise ValueError("one region interval per dimension is required")
         if self.scale < 1:
             raise ValueError("scale must be a positive integer")
+        if self.max_rounds < 1:
+            raise ValueError("max_rounds must be a positive integer")
         for lo, hi in self.region:
             if lo > hi:
                 raise ValueError("region intervals must be nonempty")
@@ -510,7 +507,6 @@ def generate_centroids(config: ExperimentConfig) -> list[FractionVector]:
 
 
 def run_experiment(config: ExperimentConfig,
-                   check_conservation: bool = True,
                    log_messages: bool = False) -> KMeansTrace:
     config.validate()
     g = generate_random_digraph(config.n, config.extra_edge_probability,
@@ -518,7 +514,7 @@ def run_experiment(config: ExperimentConfig,
     trace = run_kmeans(
         g, generate_observations(config), generate_centroids(config),
         d_bound=config.d_bound, max_rounds=config.max_rounds,
-        check_conservation=check_conservation, log_messages=log_messages)
+        log_messages=log_messages)
     trace.config = config.as_dict()
     return trace
 
@@ -559,7 +555,7 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
     config, index = args
     sub = config_for_seed(config, index)
     try:
-        trace = run_experiment(sub, check_conservation=False)
+        trace = run_experiment(sub)
     except (ProtocolError, ValueError) as exc:
         raise ProtocolError(f"sweep seed {index} failed: {exc}") from exc
     if not trace.terminated:

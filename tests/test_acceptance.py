@@ -11,12 +11,13 @@ import random
 import pytest
 
 from quantkmeans.cli import main as cli_main
+from quantkmeans.consensus import ConsensusState
 from quantkmeans.coordination import ClusterExtrema, extrema_merge, snapshot
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
-from quantkmeans.sim import (ExperimentConfig, run_consensus, run_kmeans,
-                             sweep)
+from quantkmeans.sim import (ExperimentConfig, ProtocolError, run_consensus,
+                             run_kmeans, sweep)
 
 SWEEP_CONFIG = ExperimentConfig(
     n=100, k=3, dim=2, region=((0, 50), (0, 50)),
@@ -103,13 +104,23 @@ def test_criterion_1_exact_quantized_average(consensus_batch):
           f"exact average with S_t <= n*m^2 on every run")
 
 
-def test_criterion_2_mass_conservation(consensus_batch):
+def test_criterion_2_mass_conservation(consensus_batch, monkeypatch):
     # run_consensus verifies exact conservation of (y, z) over node-held plus
     # in-flight mass at every step and raises on the first violation; traces
-    # only exist because every step balanced.
-    assert all(trace.conservation_checked for _, _, trace in consensus_batch)
+    # only exist because every step balanced.  The check itself must catch
+    # one counter unit gained on delivery.
+    g, values, _ = consensus_batch[0]
+    absorb_one = ConsensusState.absorb_one
+
+    def leaky(self, y, z):
+        absorb_one(self, y, z + 1)
+
+    monkeypatch.setattr(ConsensusState, "absorb_one", leaky)
+    with pytest.raises(ProtocolError, match="mass conservation violated"):
+        run_consensus(g, values)
     print(f"\n[criterion 2] PASS: exact (y, z) conservation held at every "
-          f"step of all {len(consensus_batch)} runs")
+          f"step of all {len(consensus_batch)} runs, and a one-unit leak "
+          f"is caught")
 
 
 def test_criterion_3_extrema_flood_in_diameter_rounds():
@@ -181,8 +192,7 @@ def test_criterion_7_transmission_stopping(kmeans_batch):
 def test_criterion_8_desk_scale_experiment(tmp_path, sweep_result):
     out = tmp_path / "fig"
     rc = cli_main(["kmeans", "--n", "100", "--k", "3", "--p", "0.05",
-                   "--box", "0:50", "--seed", "11",
-                   "--no-conservation-check", "--out-dir", str(out)])
+                   "--box", "0:50", "--seed", "11", "--out-dir", str(out)])
     assert rc == 0
     summary = json.loads((out / "kmeans_summary.json").read_text())
     assert summary["terminated"] is True

@@ -226,14 +226,19 @@ class TestKMeansCommand:
         assert err == "error: one region interval per dimension is required\n"
         assert not (tmp_path / "kmeans_summary.json").exists()
 
-    @pytest.mark.parametrize("command", ["kmeans", "sweep"])
+    @pytest.mark.parametrize("command, flags, message", [
+        pytest.param(command, flags, message, id=command + suffix)
+        for command in ("kmeans", "sweep")
+        for flags, message, suffix in (
+            (["--dim", "0"], "dim must be a positive integer", ""),
+            (["--max-rounds", "0"], "max_rounds must be a positive integer",
+             "-max-rounds"))])
     def test_zero_dimensions_is_an_input_error(self, tmp_path, capsys,
-                                               command):
-        rc = main([command, "--n", "6", "--k", "2", "--dim", "0",
+                                               command, flags, message):
+        rc = main([command, "--n", "6", "--k", "2", *flags,
                    "--box", "0:5", "--out-dir", str(tmp_path)])
         assert rc == 1
-        assert capsys.readouterr().err == \
-            "error: dim must be a positive integer\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
 
@@ -297,3 +302,13 @@ class TestSweepCommand:
         for name in ("sweep_aggregate.json", "sweep_per_seed.csv",
                      "sweep_thist.csv", "sweep_fmean.csv"):
             assert read(dir_a / name) == read(dir_b / name)
+
+    @pytest.mark.parametrize("flag",
+                             ["--graph", "--observations", "--centroids"])
+    def test_input_file_flags_are_refused(self, tmp_path, flag):
+        # sweep generates every input from its seeds; a file is not read
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", flag, str(tmp_path / "x.txt"), "--n", "10",
+                  "--k", "2", "--seeds", "1", "--out-dir", str(tmp_path)])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []

@@ -26,7 +26,6 @@ class TestRunConsensus:
         trace = run_consensus(cycle_digraph(3), [(2,), (4,), (6,)])
         assert all(e == fv(4) for e in trace.estimates)
         assert trace.S_t <= 27    # n * m^2 = 3 * 9
-        assert trace.conservation_checked
 
     def test_three_cycle_vector(self):
         trace = run_consensus(cycle_digraph(3), [(1, 2), (3, 4), (5, 6)])
@@ -175,7 +174,13 @@ class TestConservationCheck:
         g = generate_random_digraph(8, 0.3, seed=13)
         obs = [(i, 2 * i) for i in range(8)]
         with pytest.raises(ProtocolError, match="mass conservation violated"):
-            run_kmeans(g, obs, [fv(0, 0), fv(7, 14)], check_conservation=True)
+            run_kmeans(g, obs, [fv(0, 0), fv(7, 14)])
+        cfg = ExperimentConfig(n=10, k=2, dim=2, region=((0, 15), (0, 15)),
+                               extra_edge_probability=0.2)
+        with pytest.raises(ProtocolError, match="mass conservation violated"):
+            run_experiment(cfg)
+        with pytest.raises(ProtocolError, match="mass conservation violated"):
+            sweep(cfg, 2)
 
 
 class TestReportedGuarantees:
@@ -307,16 +312,20 @@ class TestRunKMeans:
         with pytest.raises(ValueError, match="1 <= k < n"):
             run_kmeans(g, [(i,) for i in range(4)], [fv(i) for i in range(4)])
 
-    def test_conservation_checked_flag(self):
-        g = cycle_digraph(4)
-        trace = run_kmeans(g, [(i,) for i in range(4)], [fv(0), fv(3)])
-        assert trace.conservation_checked
-        trace = run_kmeans(g, [(i,) for i in range(4)], [fv(0), fv(3)],
-                           check_conservation=False)
-        assert not trace.conservation_checked
-
-    def test_matches_lloyd_on_random_instances(self):
+    def test_matches_lloyd_on_random_instances(self, monkeypatch):
+        # Differential fuzz against the centralized oracle: canonical and
+        # seeded edge orders, d_bound at and above the diameter, coordinates
+        # near 0 and near +-10^12, an equidistant tie and an empty cluster.
+        # Every window's one-fold verdict must equal the node-by-node flood.
         rng = random.Random(14)
+        instances = [
+            # (0, 0) is equidistant from both initial centroids
+            (generate_random_digraph(5, 0.3, seed=17),
+             [(0, 0), (2, 0), (2, 1), (-2, 0), (-2, 1)], [(1, 0), (-1, 0)]),
+            # the second cluster never gets a member
+            (generate_random_digraph(4, 0.5, seed=3),
+             [(7, 7)] * 4, [(7, 7), (9, 9)]),
+        ]
         for _ in range(10):
             n = rng.randint(5, 25)
             k = rng.choice([2, 3])
@@ -324,10 +333,34 @@ class TestRunKMeans:
                                         seed=rng.randint(0, 10 ** 6))
             obs = [tuple(rng.randint(-15, 15) for _ in range(2))
                    for _ in range(n)]
-            cents = [fv(rng.randint(-15, 15), rng.randint(-15, 15))
+            cents = [tuple(rng.randint(-15, 15) for _ in range(2))
                      for _ in range(k)]
-            trace = run_kmeans(g, obs, cents)
-            assert check_equivalence(trace, lloyd_reference(obs, cents)).passed
+            instances.append((g, obs, cents))
+
+        fold = sim._window_verdict
+        flood = {}
+
+        def checked(snapshots):
+            verdict = fold(snapshots)
+            assert flood_verdict(flood["in_nbrs"], snapshots,
+                                 flood["window"]) == verdict
+            flood["verdicts"] += 1
+            return verdict
+
+        monkeypatch.setattr(sim, "_window_verdict", checked)
+        for index, (g, obs, cents) in enumerate(instances):
+            shift = (0, 10 ** 12, -10 ** 12)[index % 3]
+            obs = [tuple(v + shift for v in x) for x in obs]
+            cents = [fv(*(v + shift for v in c)) for c in cents]
+            window = diameter(g) + 2 * (index % 2)
+            orders = assign_edge_orders(g, seed=index if index % 4 else None)
+            flood.update(in_nbrs=[g.in_neighbors(j) for j in range(g.n)],
+                         window=window, verdicts=0)
+            trace = run_kmeans(g, obs, cents, d_bound=window, orders=orders)
+            report = check_equivalence(trace, lloyd_reference(obs, cents))
+            assert report.passed, (index, report.detail)
+            assert trace.terminated
+            assert flood["verdicts"] >= trace.T
 
     @pytest.mark.parametrize("extra_rounds", [0, 2])
     def test_window_verdicts_match_reference_flood(self, monkeypatch,
@@ -415,7 +448,7 @@ class TestExperimentsAndSweep:
         from quantkmeans.sim import config_for_seed
         cfg = ExperimentConfig(n=10, k=2, dim=2, region=((0, 15), (0, 15)),
                                extra_edge_probability=0.2)
-        solo = run_experiment(config_for_seed(cfg, 3), check_conservation=False)
+        solo = run_experiment(config_for_seed(cfg, 3))
         batch = sweep(cfg, 5)
         assert batch.per_seed[3]["T"] == solo.T
         assert batch.per_seed[3]["C_t"] == solo.C_t
