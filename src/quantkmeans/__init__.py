@@ -11,7 +11,7 @@ from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     parse_edge_list, serialize_edge_list)
 from .kmeans import (CentroidSet, NodeKMeansState, assign_cluster,
                      finalize_round, init_round, parse_centroids,
-                     parse_observations, refinement_value)
+                     parse_observations)
 from .oracle import brute_average, check_equivalence, lloyd_reference
 from .sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
                   ProtocolError, SweepResult, distance_objective,
@@ -26,7 +26,6 @@ __all__ = [
     "extrema_merge", "finalize_round", "generate_random_digraph",
     "init_round", "is_strongly_connected", "lloyd_reference",
     "parse_centroids", "parse_edge_list", "parse_observations",
-    "refinement_value", "run_consensus", "run_experiment", "run_kmeans",
-    "serialize_edge_list", "snapshot", "sq_dist_exact", "sweep",
-    "window_check",
+    "run_consensus", "run_experiment", "run_kmeans", "serialize_edge_list",
+    "snapshot", "sq_dist_exact", "sweep", "window_check",
 ]

@@ -86,51 +86,50 @@ def _d_bound_value(text: str):
     return text if text == "auto" else int(text)
 
 
+# flag or config-file key -> (ExperimentConfig field, converter)
+_CONFIG_KEYS = {
+    "n": ("n", int), "k": ("k", int), "dim": ("dim", int),
+    "p": ("extra_edge_probability", float),
+    "graph_seed": ("graph_seed", int),
+    "observation_seed": ("observation_seed", int),
+    "centroid_seed": ("centroid_seed", int),
+    "d_bound": ("d_bound", _d_bound_value),
+    "max_rounds": ("max_rounds", int),
+}
+
+
 def _experiment_config(args, implied: dict[str, int]) -> ExperimentConfig:
-    """The experiment the flags and the config file describe.  ``implied``
-    holds the n, k and dim that input files fix; those are recorded, and a
-    flag or config-file value that differs is an input error."""
+    """The experiment the flags and the config file describe; what neither
+    sets keeps its ``ExperimentConfig`` default.  ``implied`` holds the n, k
+    and dim that input files fix; those are recorded, and a flag or
+    config-file value that differs is an input error."""
     file_values = _load_config_file(args.config)
-
-    def size(key: str, default: int) -> int:
-        given = _pick(args, file_values, key, None, int)
-        if key not in implied:
-            return default if given is None else given
-        if given is not None and given != implied[key]:
-            raise ValueError(f"{key}={given} conflicts with {key}={implied[key]} "
+    fields = {}
+    for key, (field, convert) in _CONFIG_KEYS.items():
+        value = _pick(args, file_values, key, None, convert)
+        if value is not None:
+            fields[field] = value
+    for key, value in implied.items():
+        given = fields.setdefault(key, value)
+        if given != value:
+            raise ValueError(f"{key}={given} conflicts with {key}={value} "
                              f"implied by the input files")
-        return implied[key]
-
     base_seed = _pick(args, file_values, "seed", None, int)
-    graph_seed = _pick(args, file_values, "graph_seed", None, int)
-    obs_seed = _pick(args, file_values, "observation_seed", None, int)
-    centroid_seed = _pick(args, file_values, "centroid_seed", None, int)
     if base_seed is not None:
-        graph_seed = graph_seed if graph_seed is not None else base_seed
-        obs_seed = obs_seed if obs_seed is not None else base_seed + 1
-        centroid_seed = centroid_seed if centroid_seed is not None else base_seed + 2
-    dim = size("dim", 2)
+        for offset, field in enumerate(
+                ("graph_seed", "observation_seed", "centroid_seed")):
+            fields.setdefault(field, base_seed + offset)
+    dim = fields.get("dim", ExperimentConfig.dim)
     region_text = _pick(args, file_values, "region", None, str)
     box = _pick(args, file_values, "box", None, str)
     if region_text is not None:
-        region = _parse_region(region_text)
+        fields["region"] = _parse_region(region_text)
     elif box is not None:
-        region = (_parse_interval(box),) * dim
-    else:
-        region = tuple((0, 50) for _ in range(dim))
-    return ExperimentConfig(
-        n=size("n", 100),
-        k=size("k", 3),
-        dim=dim,
-        region=region,
-        extra_edge_probability=_pick(args, file_values, "p", 0.05, float),
-        graph_seed=graph_seed if graph_seed is not None else 1,
-        observation_seed=obs_seed if obs_seed is not None else 2,
-        centroid_seed=centroid_seed if centroid_seed is not None else 3,
-        d_bound=_pick(args, file_values, "d_bound", "auto", _d_bound_value),
-        max_rounds=_pick(args, file_values, "max_rounds", 100, int),
-        scale=_pick(args, file_values, "scale", 1, int),
-    )
+        fields["region"] = (_parse_interval(box),) * dim
+    elif "dim" in fields:
+        # the dataclass default region fits only dim=2
+        fields["region"] = ((0, 50),) * dim
+    return ExperimentConfig(**fields)
 
 
 def _out_dir(args) -> Path:
@@ -386,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=float)
         p.add_argument("--box", help="LO:HI applied to every dimension")
         p.add_argument("--region", help="per-dimension LO:HI list, comma separated")
-        p.add_argument("--scale", type=int, help="integer quantization scale")
         p.add_argument("--seed", type=int,
                        help="base seed; graph/observation/centroid seeds "
                             "default to seed, seed+1, seed+2")

@@ -72,12 +72,6 @@ class Fraction:
         return Fraction(self.num * other.den + other.num * self.den,
                         self.den * other.den)
 
-    def __sub__(self, other: "Fraction") -> "Fraction":
-        if self.den == other.den:
-            return Fraction(self.num - other.num, self.den)
-        return Fraction(self.num * other.den - other.num * self.den,
-                        self.den * other.den)
-
     def __float__(self) -> float:
         return self.num / self.den
 

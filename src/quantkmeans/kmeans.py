@@ -36,11 +36,6 @@ class CentroidSet:
     def dim(self) -> int:
         return self.centroids[0].dim
 
-    def values_equal(self, other: "CentroidSet") -> bool:
-        return self.k == other.k and all(
-            a == b for a, b in zip(self.centroids, other.centroids)
-        )
-
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.centroids)
         return f"CentroidSet(T={self.round_index}: {inner})"
@@ -78,21 +73,6 @@ def init_round(x: Sequence[int], assigned: int, k: int,
     return [(x, 1) if cl == assigned else (zero, 0) for cl in range(k)]
 
 
-def refinement_value(members: Sequence[Sequence[int]]) -> FractionVector:
-    """Exact mean of a cluster's member observations; this is the value the
-    distributed inner loop must reproduce."""
-    if not members:
-        raise ValueError("refinement over an empty member set")
-    dim = len(members[0])
-    sums = [0] * dim
-    for x in members:
-        if len(x) != dim:
-            raise ValueError("dimension mismatch")
-        for i, v in enumerate(x):
-            sums[i] += v
-    return FractionVector(tuple(sums), len(members))
-
-
 def finalize_round(outcomes: Sequence[WindowOutcome], previous: CentroidSet,
                    ) -> tuple[CentroidSet, bool]:
     """Adopt the certified averages as the next centroid set.
@@ -114,7 +94,7 @@ def finalize_round(outcomes: Sequence[WindowOutcome], previous: CentroidSet,
         else:
             raise TypeError(f"unknown window outcome {outcome!r}")
     updated = CentroidSet(new, previous.round_index + 1)
-    return updated, updated.values_equal(previous)
+    return updated, updated.centroids == previous.centroids
 
 
 class NodeKMeansState:

@@ -1,8 +1,8 @@
 """Centralized reference implementations used to validate the protocols.
 
-The Lloyd reference deliberately reuses the exact assignment and refinement
-operations, so a divergence between it and a distributed run isolates a
-protocol bug rather than arithmetic drift.
+The Lloyd reference reuses the library's exact ``assign_cluster`` and this
+module's ``brute_average``, so a divergence between it and a distributed run
+isolates a protocol bug rather than arithmetic drift.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactmath import FractionVector
-from .kmeans import CentroidSet, assign_cluster, refinement_value
+from .kmeans import CentroidSet, assign_cluster
 
 
 def brute_average(vectors: Sequence[Sequence[int]]) -> FractionVector:
@@ -61,13 +61,13 @@ def lloyd_reference(observations: Sequence[Sequence[int]],
         new = []
         for cl in range(current.k):
             if members[cl]:
-                new.append(refinement_value(members[cl]))
+                new.append(brute_average(members[cl]))
             else:
                 new.append(current.centroids[cl])
         updated = CentroidSet(new, T)
         assignment_history.append(labels)
         sets.append(updated)
-        if T >= 2 and updated.values_equal(current):
+        if T >= 2 and updated.centroids == current.centroids:
             terminated = True
         current = updated
     return LloydResult(sets, assignment_history, T, terminated)

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .consensus import Mass
 from .coordination import all_settled, extrema_merge, snapshot, window_check
-from .exactmath import Fraction, FractionVector
+from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected)
 from .kmeans import CentroidSet, NodeKMeansState, assign_cluster, finalize_round
@@ -30,6 +30,33 @@ from .kmeans import CentroidSet, NodeKMeansState, assign_cluster, finalize_round
 
 class ProtocolError(RuntimeError):
     """A protocol invariant failed; never ignored."""
+
+
+def _check_inputs(n: int, k: int, max_rounds: int, dim: int = 0,
+                  vectors: Sequence[tuple[int, ...]] | None = None,
+                  g: Digraph | None = None) -> int:
+    """The input rules of every run: more than 2 nodes, a strongly connected
+    graph, one vector per node, one shared dimension of at least 1,
+    1 <= k < n and at least one round.  The graph and vector rules apply
+    when ``g`` and ``vectors`` are given; otherwise ``dim`` is checked.
+    Returns the dimension."""
+    if n <= 2:
+        raise ValueError("the protocol requires more than 2 nodes")
+    if g is not None and not is_strongly_connected(g):
+        raise ValueError("graph is not strongly connected")
+    if vectors is not None:
+        if len(vectors) != n:
+            raise ValueError("one vector per node is required")
+        dim = len(vectors[0])
+        if any(len(v) != dim for v in vectors):
+            raise ValueError("vectors must share one dimension")
+    if dim < 1:
+        raise ValueError("dim must be a positive integer")
+    if not 1 <= k < n:
+        raise ValueError("k must satisfy 1 <= k < n")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be a positive integer")
+    return dim
 
 
 # --------------------------------------------------------------------------
@@ -163,16 +190,8 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     that same ratio).  Records S_t and checks it against the n*m^2 step
     bound."""
     n = g.n
-    if n <= 2:
-        raise ValueError("the protocol requires more than 2 nodes")
-    if not is_strongly_connected(g):
-        raise ValueError("graph is not strongly connected")
     values = [tuple(v) for v in initial]
-    if len(values) != n:
-        raise ValueError("one initial vector per node is required")
-    dim = len(values[0])
-    if any(len(v) != dim for v in values):
-        raise ValueError("initial vectors must share one dimension")
+    dim = _check_inputs(n, 1, 1, vectors=values, g=g)
     if orders is None:
         orders = assign_edge_orders(g)
 
@@ -289,8 +308,8 @@ def distance_objective(observations: Sequence[Sequence[int]],
                        centroids: CentroidSet | Sequence[FractionVector],
                        ) -> Fraction:
     """Exact sum of squared distances of each observation to its assigned
-    centroid.  Members of one cluster share a denominator, so the sum is
-    grouped per cluster before combining."""
+    centroid.  Members of one cluster share the denominator ``c.den ** 2``,
+    so the numerators are summed per cluster before combining."""
     if isinstance(centroids, CentroidSet):
         cents = centroids.centroids
     else:
@@ -299,15 +318,7 @@ def distance_objective(observations: Sequence[Sequence[int]],
         raise ValueError("one assignment per observation is required")
     sums = [0] * len(cents)
     for x, label in zip(observations, assignments):
-        c = cents[label]
-        if len(x) != len(c.nums):
-            raise ValueError("dimension mismatch")
-        den = c.den
-        acc = 0
-        for xi, ci in zip(x, c.nums):
-            diff = xi * den - ci
-            acc += diff * diff
-        sums[label] += acc
+        sums[label] += sq_dist_exact(x, cents[label]).num
     total = Fraction(0, 1)
     for label, num in enumerate(sums):
         if num:
@@ -365,19 +376,9 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     """Execute the distributed clustering protocol to termination (two equal
     consecutive centroid calculations) or until max_rounds calculations."""
     n = g.n
-    if n <= 2:
-        raise ValueError("the protocol requires more than 2 nodes")
-    if not is_strongly_connected(g):
-        raise ValueError("graph is not strongly connected")
     x = [tuple(v) for v in observations]
-    if len(x) != n:
-        raise ValueError("one observation per node is required")
-    dim = len(x[0])
-    if any(len(v) != dim for v in x):
-        raise ValueError("observations must share one dimension")
     k = len(initial_centroids)
-    if not (1 <= k < n):
-        raise ValueError("the cluster count must satisfy 1 <= k < n")
+    dim = _check_inputs(n, k, max_rounds, vectors=x, g=g)
     if any(c.dim != dim for c in initial_centroids):
         raise ValueError("centroid dimension does not match the observations")
     diam = diameter(g)
@@ -399,10 +400,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     assignments = [assign_cluster(v, current) for v in x]
     rounds = [RoundRecord(0, 0, 0, 0, current,
                           distance_objective(x, assignments, current))]
-    centroid_sets = [current]
     C_t = 0
-    mass_total = 0
-    ext_total = 0
     per_round_cap = n * g.m * g.m + 2 * window + 64
     terminated = False
     T = 0
@@ -411,13 +409,10 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
         steps, mass_msgs, ext_msgs, outcomes = _run_round(
             nodes, current, window, g.m, per_round_cap, stats, log, C_t)
         current, unchanged = finalize_round(outcomes, current)
-        centroid_sets.append(current)
         assignments = [assign_cluster(v, current) for v in x]
         rounds.append(RoundRecord(T, steps, mass_msgs, ext_msgs, current,
                                   distance_objective(x, assignments, current)))
         C_t += steps
-        mass_total += mass_msgs
-        ext_total += ext_msgs
         if T >= 2 and unchanged:
             terminated = True
             for node in nodes:
@@ -426,10 +421,11 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     step_bound = T * (window + n * g.m * g.m)
     return KMeansTrace(
         n=n, m=g.m, diam=diam, d_bound=window, k=k, dim=dim,
-        rounds=rounds, centroid_sets=centroid_sets,
+        rounds=rounds, centroid_sets=[r.centroids for r in rounds],
         final_assignments=assignments, T=T, C_t=C_t, terminated=terminated,
         step_bound=step_bound, bound_ok=C_t <= step_bound,
-        mass_messages=mass_total, extrema_messages=ext_total,
+        mass_messages=sum(r.mass_messages for r in rounds),
+        extrema_messages=sum(r.extrema_messages for r in rounds),
         max_mass_component=stats.max_component,
         mass_payload_bits=stats.bits,
         flag_step=C_t if terminated else None,
@@ -454,7 +450,6 @@ class ExperimentConfig:
     centroid_seed: int = 3
     d_bound: int | str = "auto"
     max_rounds: int = 100
-    scale: int = 1
 
     def as_dict(self) -> dict:
         return {
@@ -465,43 +460,29 @@ class ExperimentConfig:
             "observation_seed": self.observation_seed,
             "centroid_seed": self.centroid_seed,
             "d_bound": self.d_bound, "max_rounds": self.max_rounds,
-            "scale": self.scale,
         }
 
     def validate(self) -> None:
-        if self.n <= 2:
-            raise ValueError("n must exceed 2")
-        if not (1 <= self.k < self.n):
-            raise ValueError("k must satisfy 1 <= k < n")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        _check_inputs(self.n, self.k, self.max_rounds, self.dim)
         if len(self.region) != self.dim:
             raise ValueError("one region interval per dimension is required")
-        if self.scale < 1:
-            raise ValueError("scale must be a positive integer")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be a positive integer")
         for lo, hi in self.region:
             if lo > hi:
                 raise ValueError("region intervals must be nonempty")
 
 
 def generate_observations(config: ExperimentConfig) -> list[tuple[int, ...]]:
-    """Uniform integer points in the (scaled) region box."""
+    """Uniform integer points in the region box."""
     rng = random.Random(config.observation_seed)
-    out = []
-    for _ in range(config.n):
-        out.append(tuple(rng.randint(lo * config.scale, hi * config.scale)
-                         for lo, hi in config.region))
-    return out
+    return [tuple(rng.randint(lo, hi) for lo, hi in config.region)
+            for _ in range(config.n)]
 
 
 def generate_centroids(config: ExperimentConfig) -> list[FractionVector]:
     rng = random.Random(config.centroid_seed)
     out = []
     for _ in range(config.k):
-        point = tuple(rng.randint(lo * config.scale, hi * config.scale)
-                      for lo, hi in config.region)
+        point = tuple(rng.randint(lo, hi) for lo, hi in config.region)
         out.append(FractionVector.from_ints(point))
     return out
 

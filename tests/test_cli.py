@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from quantkmeans.cli import main
+from quantkmeans.cli import _experiment_config, build_parser, main
 from quantkmeans.graph import parse_edge_list
+from quantkmeans.sim import ExperimentConfig
 
 
 def read(path):
@@ -279,6 +280,14 @@ class TestStepBoundViolation:
 
 
 class TestSweepCommand:
+    def test_unset_flags_keep_the_config_defaults(self):
+        parser = build_parser()
+        assert _experiment_config(parser.parse_args(["sweep"]), {}) == \
+            ExperimentConfig()
+        config = _experiment_config(parser.parse_args(["sweep", "--dim", "3"]),
+                                    {})
+        assert config == ExperimentConfig(dim=3, region=((0, 50),) * 3)
+
     def test_small_sweep(self, tmp_path):
         args = ["sweep", "--n", "10", "--k", "2", "--p", "0.25",
                 "--box", "0:15", "--seed", "3", "--seeds", "3",

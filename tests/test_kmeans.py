@@ -4,8 +4,7 @@ from quantkmeans.coordination import Agreed, DISAGREED, EMPTY
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.kmeans import (CentroidSet, assign_cluster, finalize_round,
                                 init_round, parse_centroids,
-                                parse_observations, refinement_value,
-                                serialize_centroids, serialize_observations)
+                                parse_observations, serialize_centroids, serialize_observations)
 
 
 def fv(*nums, den=1):
@@ -48,23 +47,6 @@ class TestInitRound:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(ValueError):
             init_round((5,), 3, 3)
-
-
-class TestRefinement:
-    def test_scalar_mean(self):
-        value = refinement_value([(2,), (4,), (6,)])
-        assert value.nums == (12,) and value.den == 3
-        assert value == fv(4)
-
-    def test_vector_mean(self):
-        assert refinement_value([(1, 2), (3, 4), (5, 6)]) == fv(3, 4)
-
-    def test_singleton(self):
-        assert refinement_value([(7,)]) == fv(7)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            refinement_value([])
 
 
 class TestFinalize:

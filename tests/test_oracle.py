@@ -21,6 +21,9 @@ class TestBruteAverage:
     def test_vectors(self):
         assert brute_average([(1, 2), (3, 4), (5, 6)]) == fv(3, 4)
 
+    def test_singleton(self):
+        assert brute_average([(7,)]) == fv(7)
+
     def test_zero_sum_keeps_count_denominator(self):
         value = brute_average([(-5,), (5,)])
         assert value.nums == (0,) and value.den == 2

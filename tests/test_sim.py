@@ -84,6 +84,10 @@ class TestRunConsensus:
         with pytest.raises(ValueError):
             run_consensus(Digraph(2, [(0, 1), (1, 0)]), [(1,), (2,)])
 
+    def test_rejects_zero_dimensional_values(self):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            run_consensus(cycle_digraph(5), [()] * 5)
+
     def test_one_message_per_node_per_step(self):
         trace = run_consensus(cycle_digraph(5), [(9,), (0,), (0,), (0,), (4,)],
                               log_messages=True)
@@ -311,6 +315,16 @@ class TestRunKMeans:
         g = cycle_digraph(4)
         with pytest.raises(ValueError, match="1 <= k < n"):
             run_kmeans(g, [(i,) for i in range(4)], [fv(i) for i in range(4)])
+
+    def test_rejects_zero_dimensional_observations(self):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            run_kmeans(cycle_digraph(5), [()] * 5, [FractionVector(())])
+
+    def test_rejects_zero_rounds(self):
+        g = cycle_digraph(4)
+        with pytest.raises(ValueError,
+                           match="max_rounds must be a positive integer"):
+            run_kmeans(g, [(i,) for i in range(4)], [fv(0)], max_rounds=0)
 
     def test_matches_lloyd_on_random_instances(self, monkeypatch):
         # Differential fuzz against the centralized oracle: canonical and
