@@ -54,7 +54,11 @@ def _load_config_file(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected key=value")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip()
+        name = key.replace("-", "_")
+        if name not in _CONFIG_KEYS and name not in ("seed", "region", "box"):
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        values[name] = value.strip()
     return values
 
 

@@ -10,6 +10,7 @@ least the stored pair (counter first, then value dimensions in order).
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, NamedTuple, Optional
 
 from .exactmath import FractionVector
@@ -81,7 +82,7 @@ class ConsensusState:
     def absorb_one(self, y: tuple[int, ...], z: int) -> None:
         if len(y) != self.dim:
             raise ValueError("dimension mismatch")
-        self.held_y = tuple(a + b for a, b in zip(self.held_y, y))
+        self.held_y = tuple(map(add, self.held_y, y))
         self.held_z += z
 
     def absorb(self, incoming: Iterable[Mass]) -> None:

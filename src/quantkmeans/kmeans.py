@@ -149,11 +149,13 @@ class NodeKMeansState:
                 values.append(None)
         return values
 
-    def mass_phase(self) -> list[tuple[int, int, Mass]]:
-        """Run the event trigger of every labeled instance; returns the
-        outgoing (cluster label, destination, mass) transmissions."""
+    def mass_phase(self, labels: Iterable[int]) -> list[tuple[int, int, Mass]]:
+        """Run the event trigger of the given labels' instances in the given
+        order; returns the outgoing (cluster label, destination, mass)
+        transmissions."""
         out = []
-        for cl, state in enumerate(self.instances):
+        for cl in labels:
+            state = self.instances[cl]
             if state.trigger():
                 target, mass = state.emit()
                 out.append((cl, target, mass))

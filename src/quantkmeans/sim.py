@@ -9,7 +9,9 @@ averaging is a one-label round that stops once every estimate is exact and
 every remaining mass carries the average; a clustering round stops when a
 stopping window closes with every cluster agreed.  Mass conservation is
 checked on every step of plain averaging and at every window boundary of a
-clustering round, and a violation fails loudly.  The runners report whether
+clustering round, and a violation fails loudly.  Those checks, the stop rule
+and the window snapshots re-read only the (node, label) pairs a step touched;
+a whole-state conservation check closes every run.  The runners report whether
 the run kept the protocol's step bound (``bound_ok``) and, for clustering,
 whether the bus stayed silent from the flag step on (``silent_after_stop``).
 """
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import add, itemgetter, sub
 from typing import Optional, Sequence
 
 from .consensus import Mass
@@ -83,16 +87,27 @@ class _MessageStats:
             self.bits += a.bit_length() + 1
 
 
+_node, _label, _pair = itemgetter(0), itemgetter(1), itemgetter(0, 1)
+
+
 class _LockStep:
     """One round of labeled averaging instances on every node.
 
     Opening the round runs ``begin_round`` on every node and sends the
     initial transmissions at the round's first step; each later step is
-    ``deliver`` followed by ``emit``.  Only this step's receivers are
-    polled.  That is exact: a trigger reads only its instance's held and
-    stored pairs, ``emit`` zeroes the held pair and only ``absorb_one``
-    changes it, so an instance that received nothing keeps its last verdict.
-    Log entries are ``(step_base + step, sender, receiver, label, z, y)``.
+    ``deliver`` followed by ``emit``.  Only the (node, label) pairs that
+    received this step are polled.  That is exact: a trigger reads only its
+    instance's held and stored pairs, ``emit`` zeroes the held pair and only
+    ``absorb_one`` changes it, so an instance that received nothing keeps
+    its last verdict.  Log entries are
+    ``(step_base + step, sender, receiver, label, z, y)``.
+
+    ``deliver`` and ``emit`` both mark the received pairs as touched (a check
+    may fall between them).  ``check_conservation`` re-reads only touched
+    pairs against a cached held pair and a per-label running sum, so it costs
+    the touched pairs plus the messages in flight.  ``check_conservation_scan``
+    sums the whole state; the runners call it when a round closes, which also
+    catches a held pair that changed without passing through the engine.
     """
 
     def __init__(self, nodes: list[NodeKMeansState], centroids: CentroidSet,
@@ -106,15 +121,18 @@ class _LockStep:
         # messages in flight: (receiver, label, mass)
         self.pending: list[tuple[int, int, Mass]] = []
         self.opening = []       # window-opening snapshot values, per node
-        dim = centroids.dim
-        self.totals = [[0] * (dim + 1) for _ in range(centroids.k)]
+        # pairs touched since the last check, each pair's held (*y, z) as last
+        # read, and their sum per label; a new instance holds nothing
+        self.touched: set[tuple[int, int]] = set()
+        self.held: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.zero = (0,) * (centroids.dim + 1)
+        self.held_sums = [self.zero] * centroids.k
+        self.totals = [self.zero] * centroids.k   # injected (*y, z) per label
         for j, node in enumerate(nodes):
             values, sends = node.begin_round(centroids)
             self.opening.append(values)
             row = self.totals[node.assignment]
-            for i, v in enumerate(node.x):
-                row[i] += v
-            row[dim] += 1
+            self.totals[node.assignment] = (*map(add, row, node.x), row[-1] + 1)
             for cl, dest, mass in sends:
                 self.send(j, dest, cl, mass)
 
@@ -127,39 +145,59 @@ class _LockStep:
         if self.log is not None:
             self.log.append((step, sender, receiver, cl, mass.z, mass.y))
 
-    def deliver(self) -> list[int]:
+    def deliver(self) -> list[tuple[int, int]]:
         """Advance one step: every message in flight reaches its receiver.
-        Returns the receivers in ascending node order."""
+        Returns the received (node, label) pairs in ascending order."""
         self.steps += 1
         nodes = self.nodes
-        receivers = set()
         for receiver, cl, mass in self.pending:
             nodes[receiver].instances[cl].absorb_one(mass.y, mass.z)
-            receivers.add(receiver)
+        received = set(map(_pair, self.pending))
         self.pending = []
-        return sorted(receivers)
+        self.touched |= received
+        return sorted(received)
 
-    def emit(self, receivers: list[int]) -> None:
-        """Poll the step's receivers and send what their triggered
-        instances emit."""
+    def emit(self, received: list[tuple[int, int]]) -> None:
+        """Poll the received pairs, node by node, and send what their
+        triggered instances emit."""
+        self.touched.update(received)
         nodes = self.nodes
-        for j in receivers:
-            for cl, dest, mass in nodes[j].mass_phase():
+        for j, pairs in groupby(received, _node):
+            for cl, dest, mass in nodes[j].mass_phase(map(_label, pairs)):
                 self.send(j, dest, cl, mass)
 
-    def check_conservation(self) -> None:
+    def check_conservation(self) -> list[tuple[int, int]]:
         """Held plus in-flight mass must equal, label by label, the mass
-        injected when the round opened."""
-        for cl, injected in enumerate(self.totals):
-            states = [node.instances[cl] for node in self.nodes]
-            ys = [st.held_y for st in states]
-            zs = [st.held_z for st in states]
-            for _, label, mass in self.pending:
-                if label == cl:
-                    ys.append(mass.y)
-                    zs.append(mass.z)
-            if [*map(sum, zip(*ys)), sum(zs)] != injected:
-                raise ProtocolError("mass conservation violated")
+        injected when the round opened.  Re-reads only the pairs touched
+        since the previous check; returns those whose held mass changed."""
+        touched, self.touched = self.touched, set()
+        nodes, held, sums, zero = self.nodes, self.held, self.held_sums, self.zero
+        changed = []
+        for pair in touched:
+            j, cl = pair
+            st = nodes[j].instances[cl]
+            new = (*st.held_y, st.held_z)
+            old = held.get(pair, zero)
+            if new != old:
+                sums[cl] = tuple(map(sub, map(add, sums[cl], new), old))
+                held[pair] = new
+                changed.append(pair)
+        self._compare(sums)
+        return changed
+
+    def check_conservation_scan(self) -> None:
+        """``check_conservation`` from the whole state, not the cache."""
+        self._compare([(*map(sum, zip(*(st.held_y for st in states))),
+                        sum(st.held_z for st in states))
+                       for states in zip(*(node.instances
+                                           for node in self.nodes))])
+
+    def _compare(self, held_sums: list[tuple[int, ...]]) -> None:
+        rows = list(held_sums)
+        for _, cl, mass in self.pending:
+            rows[cl] = (*map(add, rows[cl], mass.y), rows[cl][-1] + mass.z)
+        if rows != self.totals:
+            raise ProtocolError("mass conservation violated")
 
 
 # --------------------------------------------------------------------------
@@ -206,48 +244,47 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     step_bound = n * g.m * g.m
     cap = step_bound + 4 * g.m + 64
 
-    def estimates_exact() -> bool:
-        for st in states:
-            if st.stored_z == 0:
-                return False
-            z = st.stored_z
-            for yi, ti in zip(st.stored_y, total_y):
-                if yi * n != ti * z:
-                    return False
-        return True
+    def carries_average(y: tuple[int, ...], z: int) -> bool:
+        return all(yi * n == ti * z for yi, ti in zip(y, total_y))
+
+    def faults(st) -> tuple[bool, bool]:
+        # the estimate is not the average; the held mass (a zero mass
+        # carries any ratio) does not carry the average ratio
+        return (not (st.stored_z and carries_average(st.stored_y, st.stored_z)),
+                not carries_average(st.held_y, st.held_z))
+
+    # Only a step's receivers change, so only they are re-read.
+    node_faults = [faults(st) for st in states]
+    inexact, unsettled = map(sum, zip(*node_faults))
 
     def masses_settled() -> bool:
         # Every held or in-flight mass must already carry the average ratio;
         # from such a state no future transmission can move any estimate.
-        for st in states:
-            z = st.held_z
-            if z == 0 and not any(st.held_y):
-                continue
-            for yi, ti in zip(st.held_y, total_y):
-                if yi * n != ti * z:
-                    return False
-        for _, _, mass in lock.pending:
-            for yi, ti in zip(mass.y, total_y):
-                if yi * n != ti * mass.z:
-                    return False
-        return True
+        return not unsettled and all(carries_average(mass.y, mass.z)
+                                     for _, _, mass in lock.pending)
 
     step = 0
-    first_stable: Optional[int] = 0 if estimates_exact() else None
+    first_stable: Optional[int] = None if inexact else 0
     lock.check_conservation()
     while first_stable is None or not masses_settled():
         if step >= cap:
             raise ProtocolError(
                 f"no convergence within {cap} steps (bound {step_bound})")
         step += 1
-        lock.emit(lock.deliver())
+        received = lock.deliver()
+        lock.emit(received)
         per_step.append(len(lock.pending))
         lock.check_conservation()
-        if estimates_exact():
+        for j, _ in received:
+            old, node_faults[j] = node_faults[j], faults(states[j])
+            inexact += node_faults[j][0] - old[0]
+            unsettled += node_faults[j][1] - old[1]
+        if not inexact:
             if first_stable is None:
                 first_stable = step
         else:
             first_stable = None
+    lock.check_conservation_scan()
 
     S_t = first_stable
     if log is not None:
@@ -345,26 +382,42 @@ def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
     step's delivery and before its emission, so no message leaves on the
     closing step and the bus is empty at every round boundary.  Each window
     boundary first checks conservation, so every verdict, the closing one
-    included, comes from checked masses."""
+    included, comes from checked masses.
+
+    A node holding no mass snapshots the empty extrema, the fold's identity,
+    so a verdict folds one empty extrema and the mass holders' snapshots.  A
+    window snapshots again only the nodes whose held pairs the conservation
+    check found changed (every node at the first window: all have sent)."""
     lock = _LockStep(nodes, centroids, stats, log, step_base)
-    verdict = _window_verdict([snapshot(values) for values in lock.opening])
+    empty = snapshot([None] * centroids.k)
+    holders = {j: snap for j, snap in enumerate(map(snapshot, lock.opening))
+               if any(snap)}
+    verdict = _window_verdict([empty, *holders.values()])
+    stale = set(range(len(nodes)))      # nodes whose snapshot may differ
     merges = 0
     while True:
         if lock.steps > step_cap:
             raise ProtocolError(
                 f"round did not stop within {step_cap} steps")
-        receivers = lock.deliver()
+        received = lock.deliver()
         merges += 1
         if merges == window:
-            lock.check_conservation()
+            stale.update(map(_node, lock.check_conservation()))
             if all_settled(verdict):
+                lock.check_conservation_scan()
                 # m extrema messages on every step but the closing one
                 return (lock.steps, lock.messages,
                         m_edges * (lock.steps - 1), verdict)
-            verdict = _window_verdict(
-                [snapshot(node.held_snapshot_values()) for node in nodes])
+            for j in stale:
+                snap = snapshot(nodes[j].held_snapshot_values())
+                if any(snap):
+                    holders[j] = snap
+                else:
+                    holders.pop(j, None)
+            stale = set()
+            verdict = _window_verdict([empty, *holders.values()])
             merges = 0
-        lock.emit(receivers)
+        lock.emit(received)
 
 
 def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],

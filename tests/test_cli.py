@@ -321,3 +321,34 @@ class TestSweepCommand:
                   "--k", "2", "--seeds", "1", "--out-dir", str(tmp_path)])
         assert err.value.code == 2
         assert list(tmp_path.iterdir()) == []
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["kmeans", "sweep", "gen-graph"])
+    @pytest.mark.parametrize("line", ["max_round=0", "scale=3"])
+    def test_unknown_key_is_an_input_error(self, tmp_path, capsys, command,
+                                           line):
+        # a misspelt key, and the deleted scale knob, must not fall back
+        # to the defaults
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n=6\nk=2\n# comment\nbox=0:5\n{line}\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        args = {"kmeans": ["--out-dir", str(out)],
+                "sweep": ["--seeds", "1", "--out-dir", str(out)],
+                "gen-graph": ["--out", str(out / "g.txt")]}[command]
+        rc = main([command, "--config", str(cfg), *args])
+        assert rc == 1
+        key = line.split("=")[0]
+        assert capsys.readouterr().err == \
+            f"error: config line 5: unknown key '{key}'\n"
+        assert not out.exists()
+
+    def test_every_documented_key_is_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=8\nk=2\ndim=2\np=0.3\nregion=0:9,0:9\nbox=0:9\n"
+                       "seed=4\ngraph-seed=5\nobservation_seed=6\n"
+                       "centroid_seed=7\nd_bound=auto\nmax_rounds=20\n",
+                       encoding="utf-8")
+        assert main(["kmeans", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0

@@ -1,14 +1,16 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState, Mass
-from quantkmeans.coordination import flood_verdict
+from quantkmeans.coordination import flood_verdict, snapshot
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
                                generate_random_digraph)
+from quantkmeans.kmeans import CentroidSet, NodeKMeansState
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
 from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
@@ -187,6 +189,227 @@ class TestConservationCheck:
             sweep(cfg, 2)
 
 
+def random_consensus_case(seed):
+    rng = random.Random(seed)
+    n = rng.randint(4, 25)
+    dim = rng.randint(1, 3)
+    g = generate_random_digraph(n, rng.choice([0.0, 0.2]),
+                                seed=rng.randint(0, 10 ** 6))
+    # a narrow value range gives many equal values and exact ratios
+    reach = rng.choice([1, 50])
+    values = [tuple(rng.randint(-reach, reach) for _ in range(dim))
+              for _ in range(n)]
+    return g, values, assign_edge_orders(g, seed=seed if seed % 2 else None)
+
+
+def random_kmeans_case(seed, k_max=3):
+    rng = random.Random(seed)
+    n = rng.randint(k_max + 2, 20)
+    k = rng.randint(2, k_max)
+    g = generate_random_digraph(n, rng.choice([0.1, 0.3]),
+                                seed=rng.randint(0, 10 ** 6))
+    obs = [tuple(rng.randint(-15, 15) for _ in range(2)) for _ in range(n)]
+    cents = [fv(*(rng.randint(-15, 15) for _ in range(2))) for _ in range(k)]
+    return g, obs, cents, assign_edge_orders(g, seed=seed if seed % 2 else None)
+
+
+def held_totals(nodes):
+    """Per label, the held (*y, z) summed over every node."""
+    return [tuple(map(sum, zip(*((*st.held_y, st.held_z) for st in states))))
+            for states in zip(*(node.instances for node in nodes))]
+
+
+def run_both_runners(seed, check):
+    """Call ``check`` with a plain averaging run and then a clustering run
+    of ``seed``, each as a callable with no arguments."""
+    g, values, orders = random_consensus_case(seed)
+    check(lambda: run_consensus(g, values, orders=orders))
+    g, obs, cents, orders = random_kmeans_case(seed)
+    check(lambda: run_kmeans(g, obs, cents, orders=orders))
+
+
+class TestIncrementalConservation:
+    """The per-step and per-window check re-reads only touched pairs; these
+    compare it with a sum over the whole state."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_running_sums_equal_a_whole_state_sum(self, monkeypatch, seed):
+        check = sim._LockStep.check_conservation
+        checks = []
+
+        def compared(lock):
+            changed = check(lock)
+            assert list(lock.held_sums) == held_totals(lock.nodes)
+            checks.append(lock.steps)
+            return changed
+
+        monkeypatch.setattr(sim._LockStep, "check_conservation", compared)
+        run_both_runners(seed, lambda run: run())
+        assert checks
+
+    @pytest.mark.parametrize("leak", ["message", "held"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_leak_in_emit_is_caught_at_the_first_unbalanced_check(
+            self, monkeypatch, leak, seed):
+        # Every check must raise exactly when a whole-state sum first
+        # disagrees with the injected mass, as the whole-state check did.
+        emit = ConsensusState.emit
+
+        def leaky(self):
+            target, mass = emit(self)
+            if leak == "held":
+                self.held_z += 1
+                return target, mass
+            return target, Mass(mass.y, mass.z + 1)
+
+        check = sim._LockStep.check_conservation
+        balanced = []
+
+        def compared(lock):
+            try:
+                lock.check_conservation_scan()
+                balanced.append(True)
+            except ProtocolError:
+                balanced.append(False)
+            return check(lock)
+
+        def caught_first_time(run):
+            balanced.clear()
+            with pytest.raises(ProtocolError,
+                               match="mass conservation violated"):
+                run()
+            assert balanced[-1] is False and all(balanced[:-1])
+
+        monkeypatch.setattr(ConsensusState, "emit", leaky)
+        monkeypatch.setattr(sim._LockStep, "check_conservation", compared)
+        run_both_runners(seed, caught_first_time)
+
+    @pytest.mark.parametrize("when", ["early", "last"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_corrupt_pair_that_received_nothing_is_caught_by_round_close(
+            self, when, seed):
+        # "last" corrupts on the step that closes the first clustering
+        # round (the last step of plain averaging): no later check re-reads
+        # the pair, so only the whole-state check at the close can see it.
+        g, values, orders = random_consensus_case(seed)
+        clean = run_consensus(g, values, orders=orders)
+        # run_consensus counts from step 0; the engine's counter starts at 1
+        step = clean.steps + 1 if when == "last" else 3
+        opened = corrupt_one_held_pair(step, lambda: run_consensus(
+            g, values, orders=orders))
+        assert opened == 1
+
+        g, obs, cents, orders = random_kmeans_case(seed)
+        clean = run_kmeans(g, obs, cents, orders=orders)
+        step = clean.rounds[1].steps if when == "last" else 3
+        opened = corrupt_one_held_pair(step, lambda: run_kmeans(
+            g, obs, cents, orders=orders))
+        assert opened == 1
+
+
+def corrupt_one_held_pair(step, run):
+    """Run ``run`` with one unit added to the held counter of a node that
+    received nothing at ``step`` of the first round; it must raise.
+    Returns how many rounds had opened by then."""
+    deliver = sim._LockStep.deliver
+    init = sim._LockStep.__init__
+    opened = []
+
+    def opening(lock, *args):
+        init(lock, *args)
+        opened.append(lock)
+
+    def corrupting(lock):
+        received = deliver(lock)
+        if lock is opened[0] and lock.steps == step:
+            j = next(j for j in range(len(lock.nodes))
+                     if all(r != j for r, _ in received))
+            lock.nodes[j].instances[0].held_z += 1
+        return received
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim._LockStep, "__init__", opening)
+        patch.setattr(sim._LockStep, "deliver", corrupting)
+        with pytest.raises(ProtocolError, match="mass conservation violated"):
+            run()
+    return len(opened)
+
+
+class TestPollingReceivedPairs:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_polling_every_label_of_a_receiver_changes_nothing(
+            self, monkeypatch, seed):
+        # The old rule polled all k instances of every receiver.
+        g, obs, cents, orders = random_kmeans_case(seed, k_max=6)
+        fast = run_kmeans(g, obs, cents, orders=orders, log_messages=True)
+        mass_phase = NodeKMeansState.mass_phase
+
+        def every_label(self, labels):
+            return mass_phase(self, range(len(self.instances)))
+
+        monkeypatch.setattr(NodeKMeansState, "mass_phase", every_label)
+        full = run_kmeans(g, obs, cents, orders=orders, log_messages=True)
+        assert fast.message_log == full.message_log
+        assert (fast.T, fast.C_t, fast.mass_messages, fast.extrema_messages) \
+            == (full.T, full.C_t, full.mass_messages, full.extrema_messages)
+        assert fast.terminated
+
+
+def reference_stop_rule(g, values, orders):
+    """``run_consensus``'s loop on the same engine, with its stop rule
+    recomputed over every node at every step.  Returns (steps, S_t)."""
+    n = g.n
+    total = [sum(col) for col in zip(*values)]
+    nodes = [NodeKMeansState(j, values[j], orders.targets(j)) for j in range(n)]
+    lock = sim._LockStep(nodes, CentroidSet([FractionVector(total, n)]),
+                         sim._MessageStats(), None, -1)
+    states = [node.instances[0] for node in nodes]
+
+    def carries_average(y, z):
+        return all(yi * n == ti * z for yi, ti in zip(y, total))
+
+    def estimates_exact():
+        return all(st.stored_z and carries_average(st.stored_y, st.stored_z)
+                   for st in states)
+
+    def masses_settled():
+        masses = [(st.held_y, st.held_z) for st in states]
+        masses += [(mass.y, mass.z) for _, _, mass in lock.pending]
+        return all(carries_average(y, z) for y, z in masses)
+
+    step = 0
+    first_stable = 0 if estimates_exact() else None
+    while first_stable is None or not masses_settled():
+        step += 1
+        lock.emit(lock.deliver())
+        if not estimates_exact():
+            first_stable = None
+        elif first_stable is None:
+            first_stable = step
+    return step, first_stable
+
+
+class TestStopRuleCounts:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_counts_match_a_whole_state_stop_rule(self, seed):
+        g, values, orders = random_consensus_case(seed)
+        trace = run_consensus(g, values, orders=orders)
+        assert (trace.steps, trace.S_t) == reference_stop_rule(g, values,
+                                                               orders)
+
+    def test_a_held_mass_off_the_average_keeps_the_run_going(self):
+        # On this 8-cycle every estimate is exact at step 5 and every
+        # message in flight carries the average, but one held mass does
+        # not; it moves later and estimates part again until step 21.
+        g = Digraph(8, [(0, 1), (1, 4), (4, 5), (5, 2), (2, 6), (6, 3),
+                        (3, 7), (7, 0)])
+        values = [(1,), (0,), (-1,), (-1,), (-1,), (1,), (0,), (1,)]
+        orders = assign_edge_orders(g)
+        trace = run_consensus(g, values, orders=orders)
+        assert (trace.steps, trace.S_t) == (21, 21) == \
+            reference_stop_rule(g, values, orders)
+
+
 class TestReportedGuarantees:
     def test_bound_ok_is_false_when_a_run_overshoots(self, over_step_bound):
         trace = run_consensus(cycle_digraph(3), [(5,), (0,), (0,)])
@@ -229,6 +452,41 @@ class TestReportedGuarantees:
         assert trace.terminated
         assert max(row[0] for row in trace.message_log) == trace.flag_step
         assert trace.silent_after_stop is False
+
+
+def check_verdicts_by_flood(monkeypatch, g, window):
+    """Make every window verdict of the following clustering runs on ``g``
+    equal the node-by-node flood over every node's snapshot: the injected
+    values when a round opens, the held masses read from the nodes later.
+    The snapshots the fold receives must be the nonempty ones among them.
+    Returns the list the checked verdicts are appended to."""
+    in_nbrs = [g.in_neighbors(j) for j in range(g.n)]
+    fold = sim._window_verdict
+    init = sim._LockStep.__init__
+    rounds, verdicts = [], []
+
+    def opened(lock, *args):
+        init(lock, *args)
+        rounds.append(lock)
+        lock.opening_verdict_due = True
+
+    def checked(snapshots):
+        lock = rounds[-1]
+        if lock.opening_verdict_due:
+            lock.opening_verdict_due = False
+            values = lock.opening
+        else:
+            values = [node.held_snapshot_values() for node in lock.nodes]
+        every = [snapshot(v) for v in values]
+        assert Counter(filter(any, every)) == Counter(filter(any, snapshots))
+        verdict = fold(snapshots)
+        assert flood_verdict(in_nbrs, every, window) == verdict
+        verdicts.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(sim._LockStep, "__init__", opened)
+    monkeypatch.setattr(sim, "_window_verdict", checked)
+    return verdicts
 
 
 class TestRunKMeans:
@@ -351,30 +609,20 @@ class TestRunKMeans:
                      for _ in range(k)]
             instances.append((g, obs, cents))
 
-        fold = sim._window_verdict
-        flood = {}
-
-        def checked(snapshots):
-            verdict = fold(snapshots)
-            assert flood_verdict(flood["in_nbrs"], snapshots,
-                                 flood["window"]) == verdict
-            flood["verdicts"] += 1
-            return verdict
-
-        monkeypatch.setattr(sim, "_window_verdict", checked)
         for index, (g, obs, cents) in enumerate(instances):
             shift = (0, 10 ** 12, -10 ** 12)[index % 3]
             obs = [tuple(v + shift for v in x) for x in obs]
             cents = [fv(*(v + shift for v in c)) for c in cents]
             window = diameter(g) + 2 * (index % 2)
             orders = assign_edge_orders(g, seed=index if index % 4 else None)
-            flood.update(in_nbrs=[g.in_neighbors(j) for j in range(g.n)],
-                         window=window, verdicts=0)
-            trace = run_kmeans(g, obs, cents, d_bound=window, orders=orders)
+            with monkeypatch.context() as patch:
+                verdicts = check_verdicts_by_flood(patch, g, window)
+                trace = run_kmeans(g, obs, cents, d_bound=window,
+                                   orders=orders)
             report = check_equivalence(trace, lloyd_reference(obs, cents))
             assert report.passed, (index, report.detail)
             assert trace.terminated
-            assert flood["verdicts"] >= trace.T
+            assert len(verdicts) >= trace.T
 
     @pytest.mark.parametrize("extra_rounds", [0, 2])
     def test_window_verdicts_match_reference_flood(self, monkeypatch,
@@ -385,18 +633,8 @@ class TestRunKMeans:
         rng = random.Random(32)
         obs = [tuple(rng.randint(-20, 20) for _ in range(2)) for _ in range(14)]
         cents = [fv(-10, -10), fv(0, 10), fv(10, -10)]
-        in_nbrs = [g.in_neighbors(j) for j in range(g.n)]
         window = diameter(g) + extra_rounds
-        fold = sim._window_verdict
-        verdicts = []
-
-        def checked(snapshots):
-            verdict = fold(snapshots)
-            assert flood_verdict(in_nbrs, snapshots, window) == verdict
-            verdicts.append(verdict)
-            return verdict
-
-        monkeypatch.setattr(sim, "_window_verdict", checked)
+        verdicts = check_verdicts_by_flood(monkeypatch, g, window)
         trace = run_kmeans(g, obs, cents, d_bound=window)
         assert trace.terminated
         assert len(verdicts) > trace.T     # some windows did not certify
