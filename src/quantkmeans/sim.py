@@ -11,9 +11,10 @@ stopping window closes with every cluster agreed.  Mass conservation is
 checked on every step of plain averaging and at every window boundary of a
 clustering round, and a violation fails loudly.  Those checks, the stop rule
 and the window snapshots re-read only the (node, label) pairs a step touched;
-a whole-state conservation check closes every run.  The runners report whether
-the run kept the protocol's step bound (``bound_ok``) and, for clustering,
-whether the bus stayed silent from the flag step on (``silent_after_stop``).
+a whole-state conservation check closes every round.  The runners report
+whether the run kept the protocol's step bound (``bound_ok``) and, for
+clustering, whether the bus stayed silent from the flag step on
+(``silent_after_stop``).
 """
 
 from __future__ import annotations
@@ -132,7 +133,8 @@ class _LockStep:
             values, sends = node.begin_round(centroids)
             self.opening.append(values)
             row = self.totals[node.assignment]
-            self.totals[node.assignment] = (*map(add, row, node.x), row[-1] + 1)
+            self.totals[node.assignment] = (*map(add, row, node.x),
+                                            row[-1] + 1)
             for cl, dest, mass in sends:
                 self.send(j, dest, cl, mass)
 
@@ -171,13 +173,13 @@ class _LockStep:
         injected when the round opened.  Re-reads only the pairs touched
         since the previous check; returns those whose held mass changed."""
         touched, self.touched = self.touched, set()
-        nodes, held, sums, zero = self.nodes, self.held, self.held_sums, self.zero
+        nodes, held, sums = self.nodes, self.held, self.held_sums
         changed = []
         for pair in touched:
             j, cl = pair
             st = nodes[j].instances[cl]
             new = (*st.held_y, st.held_z)
-            old = held.get(pair, zero)
+            old = held.get(pair, self.zero)
             if new != old:
                 sums[cl] = tuple(map(sub, map(add, sums[cl], new), old))
                 held[pair] = new
@@ -250,8 +252,8 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     def faults(st) -> tuple[bool, bool]:
         # the estimate is not the average; the held mass (a zero mass
         # carries any ratio) does not carry the average ratio
-        return (not (st.stored_z and carries_average(st.stored_y, st.stored_z)),
-                not carries_average(st.held_y, st.held_z))
+        exact = st.stored_z and carries_average(st.stored_y, st.stored_z)
+        return not exact, not carries_average(st.held_y, st.held_z)
 
     # Only a step's receivers change, so only they are re-read.
     node_faults = [faults(st) for st in states]

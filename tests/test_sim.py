@@ -210,7 +210,8 @@ def random_kmeans_case(seed, k_max=3):
                                 seed=rng.randint(0, 10 ** 6))
     obs = [tuple(rng.randint(-15, 15) for _ in range(2)) for _ in range(n)]
     cents = [fv(*(rng.randint(-15, 15) for _ in range(2))) for _ in range(k)]
-    return g, obs, cents, assign_edge_orders(g, seed=seed if seed % 2 else None)
+    orders = assign_edge_orders(g, seed=seed if seed % 2 else None)
+    return g, obs, cents, orders
 
 
 def held_totals(nodes):
@@ -360,7 +361,8 @@ def reference_stop_rule(g, values, orders):
     recomputed over every node at every step.  Returns (steps, S_t)."""
     n = g.n
     total = [sum(col) for col in zip(*values)]
-    nodes = [NodeKMeansState(j, values[j], orders.targets(j)) for j in range(n)]
+    nodes = [NodeKMeansState(j, values[j], orders.targets(j))
+             for j in range(n)]
     lock = sim._LockStep(nodes, CentroidSet([FractionVector(total, n)]),
                          sim._MessageStats(), None, -1)
     states = [node.instances[0] for node in nodes]
