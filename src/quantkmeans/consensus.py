@@ -116,9 +116,8 @@ class ConsensusState:
 
     def emit(self) -> tuple[int, Mass]:
         """Store the held mass, hand it to the neighbor at the current
-        round-robin order, zero the held pair, and advance the pointer."""
-        if not self.trigger():
-            raise RuntimeError("emit called while the trigger condition holds off")
+        round-robin order, zero the held pair, and advance the pointer.
+        Call it only when ``trigger`` holds; it does not check again."""
         self.stored_y = self.held_y
         self.stored_z = self.held_z
         target = self.targets[self.e]

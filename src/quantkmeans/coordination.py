@@ -9,10 +9,13 @@ certifies that the common value is the exact cluster average.  A label
 nobody contributed to is flagged empty.
 
 Simulation: after D >= diameter rounds every node holds the global extrema,
-so every node reaches the verdict of one fold over all snapshots.  The
-simulator computes that fold once per window and still counts the flood's
-messages; ``flood_verdict`` replays the flood node by node and is the
-reference that tests compare the fold against.
+so every node reaches the verdict of one fold over all snapshots, and a
+label's maximum equals its minimum exactly when all its snapshot values are
+equal.  The simulator therefore certifies each label by comparing its values
+with the first one, once per window, and still counts the flood's messages.
+``extrema_merge`` and ``window_check`` are the protocol's own steps;
+``flood_verdict`` replays the flood node by node with them and is the
+reference that tests compare the simulator's verdict against.
 """
 
 from __future__ import annotations

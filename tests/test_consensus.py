@@ -122,11 +122,6 @@ class TestEmit:
             state.held_y, state.held_z = (1,), 5   # keep the trigger firing
         assert seen == [4, 5, 6]
 
-    def test_emit_while_holding_raises(self):
-        state = make_state(((0,), 1), ((5,), 2))
-        with pytest.raises(RuntimeError):
-            state.emit()
-
 
 class TestNodeStep:
     def test_idle_node_stays_silent(self):

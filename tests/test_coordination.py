@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from quantkmeans import sim
+from quantkmeans.consensus import ConsensusState
 from quantkmeans.coordination import (Agreed, DISAGREED, EMPTY, all_settled,
                                       extrema_merge, flood_verdict, snapshot,
                                       window_check)
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
+from quantkmeans.kmeans import NodeKMeansState
 
-from conftest import cycle_digraph
+from conftest import agreed_pairs, cycle_digraph
 
 
 def fv(*nums, den=1):
@@ -125,8 +128,8 @@ class TestFloodedExtremaMatchDirectComputation:
 
 
 def fold_verdict(snapshots):
-    """What the simulator certifies a window with: one fold over all nodes'
-    snapshots."""
+    """The max/min consensus of one window folded over all nodes'
+    snapshots; the simulator's equality verdict must match it."""
     return window_check(extrema_merge(snapshots[0], snapshots[1:]))
 
 
@@ -155,6 +158,9 @@ def label_values(rng, n, mode):
 
 
 class TestFoldMatchesReferenceFlood:
+    """``sim._window_verdict`` (all values equal) against the max/min fold
+    and the node-by-node flood over the same snapshots."""
+
     @pytest.mark.parametrize("extra_rounds", [0, 2])
     def test_random_digraphs(self, extra_rounds):
         rng = random.Random(4242 + extra_rounds)
@@ -169,7 +175,8 @@ class TestFoldMatchesReferenceFlood:
                 ["agree", "agree", "spread", "absent"])) for _ in range(k)]
             snapshots = [snapshot([col[j] for col in columns])
                          for j in range(n)]
-            expected = fold_verdict(snapshots)
+            expected = sim._window_verdict(snapshots)
+            assert fold_verdict(snapshots) == expected
             assert flood_verdict(in_nbrs, snapshots,
                                  diameter(g) + extra_rounds) == expected
             for outcome in expected:
@@ -184,6 +191,10 @@ class TestFoldMatchesReferenceFlood:
         ([[fv(2, den=4), fv(1, den=2), None, fv(3, den=6)]],
          (Agreed(fv(1, den=2)),)),
         ([[None] * 4, [None] * 4], (EMPTY, EMPTY)),
+        # only the last holder differs, and only in its second dimension
+        ([[fv(3, -1, den=2), fv(6, -2, den=4), None, fv(3, -3, den=2)],
+          [fv(5), None, None, fv(5)]],
+         (DISAGREED, Agreed(fv(5)))),
     ])
     def test_fixed_cases(self, columns, expected):
         g = cycle_digraph(4)
@@ -191,7 +202,26 @@ class TestFoldMatchesReferenceFlood:
         snapshots = [snapshot([None if col[j] is None else col[j].reduced()
                                for col in columns]) for j in range(4)]
         assert flood_verdict(in_nbrs, snapshots, diameter(g)) \
-            == fold_verdict(snapshots) == expected
+            == fold_verdict(snapshots) == sim._window_verdict(snapshots) \
+            == expected
+
+    def test_agreed_value_is_the_reduced_ratio(self):
+        # Three holders hold one ratio, (3/2, -1), as different unreduced
+        # mass pairs; a fourth holds nothing.  The certified value must be
+        # the reduced vector, as the fold gives it, not the first pair.
+        nodes = []
+        for y, z in [((6, -4), 4), ((9, -6), 6), ((3, -2), 2), ((0, 0), 0)]:
+            node = NodeKMeansState(len(nodes), (0, 0), (0,))
+            state = ConsensusState(2, (0,))
+            state.held_y, state.held_z = y, z
+            node.instances = [state]
+            nodes.append(node)
+        snapshots = [snapshot(node.held_snapshot_values()) for node in nodes]
+        verdict = sim._window_verdict(snapshots)
+        assert verdict == fold_verdict(snapshots) \
+            == (Agreed(fv(3, -2, den=2)),)
+        assert agreed_pairs(verdict) == agreed_pairs(fold_verdict(snapshots)) \
+            == [((3, -2), 2)]
 
     def test_rounds_below_diameter_diverge(self):
         g = cycle_digraph(4)

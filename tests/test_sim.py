@@ -6,7 +6,8 @@ import pytest
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState, Mass
-from quantkmeans.coordination import flood_verdict, snapshot
+from quantkmeans.coordination import (extrema_merge, flood_verdict, snapshot,
+                                      window_check)
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
                                generate_random_digraph)
@@ -16,7 +17,7 @@ from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
                              run_kmeans, sweep)
 
-from conftest import cycle_digraph
+from conftest import agreed_pairs, cycle_digraph
 
 
 def fv(*nums, den=1):
@@ -336,6 +337,32 @@ def corrupt_one_held_pair(step, run):
     return len(opened)
 
 
+class TestEmitOnlyWhenTriggered:
+    """``ConsensusState.emit`` does not re-check the trigger: every caller,
+    the lock-step engine of both runners and the per-node ``node_step``,
+    must emit only an instance whose trigger holds."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_emit_finds_its_trigger_holding(self, monkeypatch, seed):
+        emit = ConsensusState.emit
+        calls = []
+
+        def checked(state):
+            assert state.trigger(), "emit called with the trigger off"
+            calls.append(state)
+            return emit(state)
+
+        def emits(run):
+            calls.clear()
+            run()
+            assert calls
+
+        monkeypatch.setattr(ConsensusState, "emit", checked)
+        run_both_runners(seed, emits)
+        g, values, orders = random_consensus_case(seed)
+        emits(lambda: reference_consensus(g, values, orders))
+
+
 class TestPollingReceivedPairs:
     @pytest.mark.parametrize("seed", range(8))
     def test_polling_every_label_of_a_receiver_changes_nothing(
@@ -364,7 +391,7 @@ def reference_stop_rule(g, values, orders):
     nodes = [NodeKMeansState(j, values[j], orders.targets(j))
              for j in range(n)]
     lock = sim._LockStep(nodes, CentroidSet([FractionVector(total, n)]),
-                         sim._MessageStats(), None, -1)
+                         [0] * n, sim._MessageStats(), None, -1)
     states = [node.instances[0] for node in nodes]
 
     def carries_average(y, z):
@@ -460,10 +487,12 @@ def check_verdicts_by_flood(monkeypatch, g, window):
     """Make every window verdict of the following clustering runs on ``g``
     equal the node-by-node flood over every node's snapshot: the injected
     values when a round opens, the held masses read from the nodes later.
-    The snapshots the fold receives must be the nonempty ones among them.
-    Returns the list the checked verdicts are appended to."""
+    The snapshots the verdict receives must be the nonempty ones among
+    them, and it must equal the max/min fold over them, agreed values in
+    the same (nums, den) form.  Returns the list the checked verdicts are
+    appended to."""
     in_nbrs = [g.in_neighbors(j) for j in range(g.n)]
-    fold = sim._window_verdict
+    window_verdict = sim._window_verdict
     init = sim._LockStep.__init__
     rounds, verdicts = [], []
 
@@ -481,7 +510,10 @@ def check_verdicts_by_flood(monkeypatch, g, window):
             values = [node.held_snapshot_values() for node in lock.nodes]
         every = [snapshot(v) for v in values]
         assert Counter(filter(any, every)) == Counter(filter(any, snapshots))
-        verdict = fold(snapshots)
+        verdict = window_verdict(snapshots)
+        fold = window_check(extrema_merge(snapshots[0], snapshots[1:]))
+        assert fold == verdict
+        assert agreed_pairs(fold) == agreed_pairs(verdict)
         assert flood_verdict(in_nbrs, every, window) == verdict
         verdicts.append(verdict)
         return verdict
@@ -590,7 +622,8 @@ class TestRunKMeans:
         # Differential fuzz against the centralized oracle: canonical and
         # seeded edge orders, d_bound at and above the diameter, coordinates
         # near 0 and near +-10^12, an equidistant tie and an empty cluster.
-        # Every window's one-fold verdict must equal the node-by-node flood.
+        # Every window's verdict must equal the fold and the node-by-node
+        # flood.
         rng = random.Random(14)
         instances = [
             # (0, 0) is equidistant from both initial centroids
@@ -629,7 +662,7 @@ class TestRunKMeans:
     @pytest.mark.parametrize("extra_rounds", [0, 2])
     def test_window_verdicts_match_reference_flood(self, monkeypatch,
                                                    extra_rounds):
-        # Every window the run certifies by one fold must get the same
+        # Every window the run certifies by ratio equality must get the same
         # verdict from the node-by-node flood over the same snapshots.
         g = generate_random_digraph(14, 0.15, seed=31)
         rng = random.Random(32)
