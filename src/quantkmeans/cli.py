@@ -154,6 +154,7 @@ def cmd_gen_graph(args) -> int:
     p = _pick(args, file_values, "p", 0.05, float)
     seed = _pick(args, file_values, "seed", 1, int)
     g = generate_random_digraph(n, p, seed)
+    diam = diameter(g)
     out = Path(args.out)
     out.write_text(serialize_edge_list(g), encoding="utf-8")
     # the edge-list format has no comment syntax, so the generation config
@@ -161,9 +162,9 @@ def cmd_gen_graph(args) -> int:
     _write_json(out.with_suffix(out.suffix + ".meta.json"), {
         "schema": f"{SCHEMA_PREFIX}-graph-v1",
         "config": {"command": "gen-graph", "n": n, "p": p, "seed": seed},
-        "n": g.n, "m": g.m, "diameter": diameter(g),
+        "n": g.n, "m": g.m, "diameter": diam,
     })
-    print(f"n={g.n} m={g.m} D={diameter(g)}")
+    print(f"n={g.n} m={g.m} D={diam}")
     return 0
 
 

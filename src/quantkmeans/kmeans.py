@@ -113,36 +113,31 @@ class NodeKMeansState:
         self.flag = False
 
     def begin_round(self, centroids: CentroidSet, assignment: int,
-                    ) -> tuple[list[Optional[FractionVector]],
-                               list[tuple[int, int, Mass]]]:
+                    ) -> list[tuple[int, int, Mass]]:
         """Take ``assignment``, the label of the centroid nearest to the
         observation (``assign_cluster``, computed once per round by the
-        runner), inject labeled masses, and return the window-opening
-        snapshot values plus the initial transmissions (cluster label,
-        destination, mass)."""
+        runner), inject labeled masses, and return the initial transmissions
+        (cluster label, destination, mass).  The injected mass ``x/1`` is
+        what the node holds when the round's first window opens; it leaves
+        on the initial transmission immediately after."""
         if self.flag:
             raise RuntimeError("node already terminated")
         self.assignment = assignment
-        snapshot_values: list[Optional[FractionVector]] = []
         messages: list[tuple[int, int, Mass]] = []
         self.instances = []
         for cl, (y0, z0) in enumerate(init_round(self.x, self.assignment,
                                                  centroids.k)):
             state, initial = ConsensusState.create(y0, z0, self.targets)
             self.instances.append(state)
-            if z0 == 1:
-                # The injected mass is what the node holds at window opening;
-                # it leaves on the initial transmission immediately after.
-                snapshot_values.append(FractionVector(y0, 1))
-            else:
-                snapshot_values.append(None)
             if initial is not None:
                 messages.append((cl, initial[0], initial[1]))
-        return snapshot_values, messages
+        return messages
 
     def held_snapshot_values(self) -> list[Optional[FractionVector]]:
-        """Per-label ratio of the mass the node holds right now; labels with
-        no held counter mass contribute nothing."""
+        """The node's own window snapshot: per label, the reduced ratio of
+        the mass it holds right now, None where it holds no counter mass.
+        The flood-reference tests rebuild every node's snapshot from the
+        engine's held pairs and compare it with this one."""
         values: list[Optional[FractionVector]] = []
         for state in self.instances:
             if state.held_z > 0:

@@ -9,10 +9,11 @@ averaging is a one-label round that stops once every estimate is exact and
 every remaining mass carries the average; a clustering round stops when a
 stopping window closes with every cluster agreed.  Mass conservation is
 checked on every step of plain averaging and at every window boundary of a
-clustering round, and a violation fails loudly.  Those checks, the stop rule
-and the window snapshots re-read only the (node, label) pairs a step touched;
-a whole-state conservation check closes every round.  The runners report
-whether the run kept the protocol's step bound (``bound_ok``) and, for
+clustering round, and a violation fails loudly.  Those checks and the stop
+rule re-read only the (node, label) pairs a step touched, each window's
+verdict reads the held pairs the check has just verified, and a whole-state
+check closes every round.  The runners report whether the run kept the
+protocol's step bound (``bound_ok``; only a run far past it raises) and, for
 clustering, whether the bus stayed silent from the flag step on
 (``silent_after_stop``).
 """
@@ -26,9 +27,9 @@ from operator import add, itemgetter, sub
 from typing import Optional, Sequence
 
 from .consensus import Mass
-from .coordination import Agreed, DISAGREED, EMPTY, all_settled, snapshot
+from .coordination import Agreed, DISAGREED, EMPTY, all_settled
 # bound here only because the benchmark's tracer wraps these names in ``sim``
-from .coordination import extrema_merge, window_check  # noqa: F401
+from .coordination import extrema_merge, snapshot, window_check  # noqa: F401
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected)
@@ -64,6 +65,11 @@ def _check_inputs(n: int, k: int, max_rounds: int, dim: int = 0,
     if max_rounds < 1:
         raise ValueError("max_rounds must be a positive integer")
     return dim
+
+
+# A run past its step bound reports ``bound_ok=False``; only a runaway this
+# many times over the bound raises.
+_RUNAWAY_FACTOR = 10
 
 
 # --------------------------------------------------------------------------
@@ -108,10 +114,11 @@ class _LockStep:
 
     ``deliver`` and ``emit`` both mark the received pairs as touched (a check
     may fall between them).  ``check_conservation`` re-reads only touched
-    pairs against a cached held pair and a per-label running sum, so it costs
-    the touched pairs plus the messages in flight.  ``check_conservation_scan``
-    sums the whole state; the runners call it when a round closes, which also
-    catches a held pair that changed without passing through the engine.
+    pairs against ``held``, every nonzero held ``(*y, z)`` pair by (node,
+    label), and a per-label running sum, so it costs the touched pairs plus
+    the messages in flight.  ``check_conservation_scan`` sums the whole state;
+    the runners call it when a round closes, which also catches a held pair
+    that changed without passing through the engine.
     """
 
     def __init__(self, nodes: list[NodeKMeansState], centroids: CentroidSet,
@@ -125,17 +132,15 @@ class _LockStep:
         self.messages = 0
         # messages in flight: (receiver, label, mass)
         self.pending: list[tuple[int, int, Mass]] = []
-        self.opening = []       # window-opening snapshot values, per node
-        # pairs touched since the last check, each pair's held (*y, z) as last
-        # read, and their sum per label; a new instance holds nothing
+        # pairs touched since the last check, every nonzero held (*y, z) as
+        # last read, and their sum per label; a new instance holds nothing
         self.touched: set[tuple[int, int]] = set()
         self.held: dict[tuple[int, int], tuple[int, ...]] = {}
         self.zero = (0,) * (centroids.dim + 1)
         self.held_sums = [self.zero] * centroids.k
         self.totals = [self.zero] * centroids.k   # injected (*y, z) per label
         for j, node in enumerate(nodes):
-            values, sends = node.begin_round(centroids, assignments[j])
-            self.opening.append(values)
+            sends = node.begin_round(centroids, assignments[j])
             row = self.totals[node.assignment]
             self.totals[node.assignment] = (*map(add, row, node.x),
                                             row[-1] + 1)
@@ -172,13 +177,13 @@ class _LockStep:
             for cl, dest, mass in nodes[j].mass_phase(map(_label, pairs)):
                 self.send(j, dest, cl, mass)
 
-    def check_conservation(self) -> list[tuple[int, int]]:
+    def check_conservation(self) -> None:
         """Held plus in-flight mass must equal, label by label, the mass
         injected when the round opened.  Re-reads only the pairs touched
-        since the previous check; returns those whose held mass changed."""
+        since the previous check, and drops a pair from ``held`` when its
+        held mass returns to zero."""
         touched, self.touched = self.touched, set()
         nodes, held, sums = self.nodes, self.held, self.held_sums
-        changed = []
         for pair in touched:
             j, cl = pair
             st = nodes[j].instances[cl]
@@ -186,10 +191,11 @@ class _LockStep:
             old = held.get(pair, self.zero)
             if new != old:
                 sums[cl] = tuple(map(sub, map(add, sums[cl], new), old))
-                held[pair] = new
-                changed.append(pair)
+                if new == self.zero:
+                    del held[pair]
+                else:
+                    held[pair] = new
         self._compare(sums)
-        return changed
 
     def check_conservation_scan(self) -> None:
         """``check_conservation`` from the whole state, not the cache."""
@@ -249,7 +255,7 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     states = [node.instances[0] for node in nodes]
     per_step = [lock.messages]
     step_bound = n * g.m * g.m
-    cap = step_bound + 4 * g.m + 64
+    cap = _RUNAWAY_FACTOR * step_bound
 
     def carries_average(y: tuple[int, ...], z: int) -> bool:
         return all(yi * n == ti * z for yi, ti in zip(y, total_y))
@@ -371,28 +377,24 @@ def distance_objective(observations: Sequence[Sequence[int]],
     return total
 
 
-def _window_verdict(snapshots: list):
-    """The verdict every node reaches when a window closes.  With D at least
-    the diameter the flood leaves every node holding the global extrema, and
-    a label's maximum equals its minimum exactly when every snapshot value
-    of that label is equal.  So each label is certified directly: empty when
-    no snapshot has a value, agreed on the first value when every other one
-    equals it, disagreed at the first that differs.  Snapshot values are
-    reduced, so an agreed value is the one the max/min fold gives
+def _window_verdict(k: int, held: dict[tuple[int, int], tuple[int, ...]]):
+    """The verdict every node reaches when a window closes, from ``held``,
+    the nonzero held ``(*y, z)`` pairs by (node, label) at its opening.  With
+    D at least the diameter the flood leaves every node holding the global
+    extrema, and a label's maximum equals its minimum exactly when all its
+    held ratios are equal.  So each label is empty when no pair has it,
+    agreed on its first pair's reduced ratio (the fold's form) when every
+    other ratio equals it by cross-multiplication, and disagreed otherwise
     (``flood_verdict`` in ``coordination`` is the node-by-node reference)."""
-    verdict = []
-    for entries in zip(*snapshots):
-        first = None
-        for entry in entries:
-            if entry is None:
-                continue
-            if first is None:
-                first = entry.upper
-            elif entry.upper != first:
-                verdict.append(DISAGREED)
-                break
-        else:
-            verdict.append(EMPTY if first is None else Agreed(first))
+    verdict: list = [EMPTY] * k
+    for (_, cl), pair in held.items():
+        seen = verdict[cl]
+        if seen is EMPTY:
+            verdict[cl] = Agreed(FractionVector(pair[:-1], pair[-1]).reduced())
+        elif seen is not DISAGREED and any(
+                y * seen.value.den != v * pair[-1]
+                for y, v in zip(pair, seen.value.nums)):
+            verdict[cl] = DISAGREED
     return tuple(verdict)
 
 
@@ -409,18 +411,13 @@ def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
     boundary first checks conservation, so every verdict, the closing one
     included, comes from checked masses.
 
-    A node holding no mass contributes no value to any label, so a verdict
-    reads one empty snapshot, standing for all of them, and the mass
-    holders' snapshots, and certifies a label when all its values are equal.
-    A window snapshots again only the nodes whose held pairs the
-    conservation check found changed (every node at the first window: all
-    have sent)."""
+    The first window reads every node's injected ``x_j/1`` under its label,
+    every later one the engine's ``held`` pairs right after the conservation
+    check."""
     lock = _LockStep(nodes, centroids, assignments, stats, log, step_base)
-    empty = snapshot([None] * centroids.k)
-    holders = {j: snap for j, snap in enumerate(map(snapshot, lock.opening))
-               if any(snap)}
-    verdict = _window_verdict([empty, *holders.values()])
-    stale = set(range(len(nodes)))      # nodes whose snapshot may differ
+    k = centroids.k
+    verdict = _window_verdict(k, {(j, cl): (*node.x, 1) for j, (node, cl)
+                                  in enumerate(zip(nodes, assignments))})
     merges = 0
     while True:
         if lock.steps > step_cap:
@@ -429,20 +426,13 @@ def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
         received = lock.deliver()
         merges += 1
         if merges == window:
-            stale.update(map(_node, lock.check_conservation()))
+            lock.check_conservation()
             if all_settled(verdict):
                 lock.check_conservation_scan()
                 # m extrema messages on every step but the closing one
                 return (lock.steps, lock.messages,
                         m_edges * (lock.steps - 1), verdict)
-            for j in stale:
-                snap = snapshot(nodes[j].held_snapshot_values())
-                if any(snap):
-                    holders[j] = snap
-                else:
-                    holders.pop(j, None)
-            stale = set()
-            verdict = _window_verdict([empty, *holders.values()])
+            verdict = _window_verdict(k, lock.held)
             merges = 0
         lock.emit(received)
 
@@ -481,7 +471,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     rounds = [RoundRecord(0, 0, 0, 0, current,
                           distance_objective(x, assignments, current))]
     C_t = 0
-    per_round_cap = n * g.m * g.m + 2 * window + 64
+    per_round_cap = _RUNAWAY_FACTOR * (window + n * g.m * g.m)
     terminated = False
     T = 0
     while T < max_rounds and not terminated:
@@ -618,8 +608,10 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
     sub = config_for_seed(config, index)
     try:
         trace = run_experiment(sub)
-    except (ProtocolError, ValueError) as exc:
+    except ProtocolError as exc:
         raise ProtocolError(f"sweep seed {index} failed: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"sweep seed {index}: {exc}") from exc
     if not trace.terminated:
         raise ProtocolError(
             f"sweep seed {index}: no termination within {sub.max_rounds} rounds")

@@ -279,6 +279,24 @@ class TestStepBoundViolation:
             "protocol violation: step bound exceeded for seeds [0, 1]\n"
 
 
+class TestGraphInputErrors:
+    # ``sweep`` finds these per seed, inside ``run_experiment``; they are
+    # input errors there too, not protocol violations.
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "10", "--p", "2"],
+         "extra_edge_probability must lie in [0, 1]"),
+        (["--n", "30", "--d-bound", "1"],
+         "diameter bound 1 is below the true diameter 8")])
+    @pytest.mark.parametrize("command, prefix, extra", [
+        ("kmeans", "", []), ("sweep", "sweep seed 0: ", ["--seeds", "1"])])
+    def test_reported_as_input_errors(self, tmp_path, capsys, command,
+                                      prefix, extra, flags, message):
+        rc = main([command, *flags, *extra, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSweepCommand:
     def test_unset_flags_keep_the_config_defaults(self):
         parser = build_parser()

@@ -133,6 +133,14 @@ def fold_verdict(snapshots):
     return window_check(extrema_merge(snapshots[0], snapshots[1:]))
 
 
+def held_pairs(columns):
+    """The (*y, z) pairs ``sim._window_verdict`` reads, by (node, label), for
+    per-label columns of snapshot values; an absent value holds nothing."""
+    return {(j, cl): (*v.nums, v.den)
+            for j, row in enumerate(zip(*columns))
+            for cl, v in enumerate(row) if v is not None}
+
+
 def label_values(rng, n, mode):
     """One label's snapshot value at each of n nodes.  Present values are
     negative, small or around 10^30; agreeing nodes build the common ratio
@@ -158,8 +166,9 @@ def label_values(rng, n, mode):
 
 
 class TestFoldMatchesReferenceFlood:
-    """``sim._window_verdict`` (all values equal) against the max/min fold
-    and the node-by-node flood over the same snapshots."""
+    """``sim._window_verdict`` (all held ratios equal) against the max/min
+    fold and the node-by-node flood over the snapshots of the same held
+    pairs."""
 
     @pytest.mark.parametrize("extra_rounds", [0, 2])
     def test_random_digraphs(self, extra_rounds):
@@ -175,7 +184,7 @@ class TestFoldMatchesReferenceFlood:
                 ["agree", "agree", "spread", "absent"])) for _ in range(k)]
             snapshots = [snapshot([col[j] for col in columns])
                          for j in range(n)]
-            expected = sim._window_verdict(snapshots)
+            expected = sim._window_verdict(k, held_pairs(columns))
             assert fold_verdict(snapshots) == expected
             assert flood_verdict(in_nbrs, snapshots,
                                  diameter(g) + extra_rounds) == expected
@@ -202,22 +211,26 @@ class TestFoldMatchesReferenceFlood:
         snapshots = [snapshot([None if col[j] is None else col[j].reduced()
                                for col in columns]) for j in range(4)]
         assert flood_verdict(in_nbrs, snapshots, diameter(g)) \
-            == fold_verdict(snapshots) == sim._window_verdict(snapshots) \
+            == fold_verdict(snapshots) \
+            == sim._window_verdict(len(columns), held_pairs(columns)) \
             == expected
 
     def test_agreed_value_is_the_reduced_ratio(self):
         # Three holders hold one ratio, (3/2, -1), as different unreduced
         # mass pairs; a fourth holds nothing.  The certified value must be
-        # the reduced vector, as the fold gives it, not the first pair.
+        # the reduced vector, as the fold over the nodes' own snapshots
+        # gives it, not the first pair.
+        pairs = [((6, -4), 4), ((9, -6), 6), ((3, -2), 2), ((0, 0), 0)]
         nodes = []
-        for y, z in [((6, -4), 4), ((9, -6), 6), ((3, -2), 2), ((0, 0), 0)]:
+        for y, z in pairs:
             node = NodeKMeansState(len(nodes), (0, 0), (0,))
             state = ConsensusState(2, (0,))
             state.held_y, state.held_z = y, z
             node.instances = [state]
             nodes.append(node)
         snapshots = [snapshot(node.held_snapshot_values()) for node in nodes]
-        verdict = sim._window_verdict(snapshots)
+        verdict = sim._window_verdict(1, {(j, 0): (*y, z) for j, (y, z)
+                                          in enumerate(pairs) if z})
         assert verdict == fold_verdict(snapshots) \
             == (Agreed(fv(3, -2, den=2)),)
         assert agreed_pairs(verdict) == agreed_pairs(fold_verdict(snapshots)) \

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
@@ -64,6 +63,17 @@ class TestRunConsensus:
         trace = run_consensus(cycle_digraph(4), [(3,)] * 4)
         assert trace.S_t == 0
         assert all(e == fv(3) for e in trace.estimates)
+
+    def test_overshoot_of_the_step_bound_is_reported_not_raised(self):
+        # The round-robin walk reaches the last stale estimate only at step
+        # 73,196, above n*m^2 = 55,223: the run must end and report it.
+        g = generate_random_digraph(23, 0.05, seed=972805)
+        values = [(v,) for v in (1, 2, 2, 1, 0, 2, -1, 2, -1, -1, 1, 0, 2,
+                                 2, 2, 1, 0, -1, -1, -2, 1, -2, -2)]
+        trace = run_consensus(g, values)
+        assert (trace.S_t, trace.step_bound) == (73196, 55223)
+        assert trace.bound_ok is False
+        assert all(e == fv(8, den=23) for e in trace.estimates)
 
     def test_random_batch_matches_brute_average(self):
         rng = random.Random(6)
@@ -236,14 +246,19 @@ class TestIncrementalConservation:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_running_sums_equal_a_whole_state_sum(self, monkeypatch, seed):
+        # The cached held pairs must be exactly the nonzero held pairs.
         check = sim._LockStep.check_conservation
         checks = []
 
         def compared(lock):
-            changed = check(lock)
+            check(lock)
             assert list(lock.held_sums) == held_totals(lock.nodes)
+            assert lock.held == {
+                (j, cl): (*st.held_y, st.held_z)
+                for j, node in enumerate(lock.nodes)
+                for cl, st in enumerate(node.instances)
+                if st.held_z or any(st.held_y)}
             checks.append(lock.steps)
-            return changed
 
         monkeypatch.setattr(sim._LockStep, "check_conservation", compared)
         run_both_runners(seed, lambda run: run())
@@ -273,7 +288,7 @@ class TestIncrementalConservation:
                 balanced.append(True)
             except ProtocolError:
                 balanced.append(False)
-            return check(lock)
+            check(lock)
 
         def caught_first_time(run):
             balanced.clear()
@@ -485,12 +500,13 @@ class TestReportedGuarantees:
 
 def check_verdicts_by_flood(monkeypatch, g, window):
     """Make every window verdict of the following clustering runs on ``g``
-    equal the node-by-node flood over every node's snapshot: the injected
-    values when a round opens, the held masses read from the nodes later.
-    The snapshots the verdict receives must be the nonempty ones among
-    them, and it must equal the max/min fold over them, agreed values in
-    the same (nums, den) form.  Returns the list the checked verdicts are
-    appended to."""
+    equal the node-by-node flood over every node's snapshot.  Each node's
+    snapshot is rebuilt from the held pairs the verdict receives, and the
+    whole per-node list must equal the nodes' own snapshots: the injected
+    ``x_j/1`` under each node's label when a round opens,
+    ``held_snapshot_values`` later.  The verdict must also equal the max/min
+    fold over that list, agreed values in the same (nums, den) form.
+    Returns the list the checked verdicts are appended to."""
     in_nbrs = [g.in_neighbors(j) for j in range(g.n)]
     window_verdict = sim._window_verdict
     init = sim._LockStep.__init__
@@ -501,17 +517,21 @@ def check_verdicts_by_flood(monkeypatch, g, window):
         rounds.append(lock)
         lock.opening_verdict_due = True
 
-    def checked(snapshots):
+    def checked(k, held):
         lock = rounds[-1]
         if lock.opening_verdict_due:
             lock.opening_verdict_due = False
-            values = lock.opening
+            values = [[FractionVector(node.x, 1) if cl == node.assignment
+                       else None for cl in range(k)] for node in lock.nodes]
         else:
             values = [node.held_snapshot_values() for node in lock.nodes]
         every = [snapshot(v) for v in values]
-        assert Counter(filter(any, every)) == Counter(filter(any, snapshots))
-        verdict = window_verdict(snapshots)
-        fold = window_check(extrema_merge(snapshots[0], snapshots[1:]))
+        rebuilt = [[None] * k for _ in lock.nodes]
+        for (j, cl), (*y, z) in held.items():
+            rebuilt[j][cl] = FractionVector(y, z).reduced()
+        assert list(map(snapshot, rebuilt)) == every
+        verdict = window_verdict(k, held)
+        fold = window_check(extrema_merge(every[0], every[1:]))
         assert fold == verdict
         assert agreed_pairs(fold) == agreed_pairs(verdict)
         assert flood_verdict(in_nbrs, every, window) == verdict
