@@ -9,16 +9,15 @@ from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected,
                     parse_edge_list, serialize_edge_list)
-from .kmeans import (CentroidSet, NodeKMeansState, assign_cluster,
-                     finalize_round, init_round, parse_centroids,
-                     parse_observations)
+from .kmeans import (NodeKMeansState, assign_cluster, finalize_round,
+                     init_round, parse_centroids, parse_observations)
 from .oracle import brute_average, check_equivalence, lloyd_reference
 from .sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
                   ProtocolError, SweepResult, distance_objective,
                   run_consensus, run_experiment, run_kmeans, sweep)
 
 __all__ = [
-    "Agreed", "CentroidSet", "ConsensusState", "ConsensusTrace", "DISAGREED",
+    "Agreed", "ConsensusState", "ConsensusTrace", "DISAGREED",
     "Digraph", "EMPTY", "EdgeOrdering", "ExperimentConfig", "Fraction",
     "FractionVector", "KMeansTrace", "Mass", "NodeKMeansState",
     "ProtocolError", "SweepResult", "assign_cluster", "assign_edge_orders",

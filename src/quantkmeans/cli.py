@@ -259,7 +259,7 @@ def cmd_kmeans(args) -> int:
         "mass_payload_bits": trace.mass_payload_bits,
         "silent_after_stop": trace.silent_after_stop,
         "final_centroids": [_centroid_cell(c)
-                            for c in trace.centroid_sets[-1].centroids],
+                            for c in trace.centroid_sets[-1]],
         "objective_final": str(trace.rounds[-1].objective),
     }
     exit_code = 0
@@ -280,7 +280,7 @@ def cmd_kmeans(args) -> int:
                 "F_num", "F_den"] + [f"c_{cl}" for cl in range(k)],
                [(r.T, r.steps, r.mass_messages, r.extrema_messages,
                  r.objective.reduced().num, r.objective.reduced().den,
-                 *[_centroid_cell(c) for c in r.centroids.centroids])
+                 *[_centroid_cell(c) for c in r.centroids])
                 for r in trace.rounds])
     _write_csv(out / "fcurve.csv", config_dict,
                ["T", "F_num", "F_den", "F_float"],
@@ -291,8 +291,8 @@ def cmd_kmeans(args) -> int:
                ["T", "cluster"] + [f"coord_{i}" for i in range(dim)]
                + [f"float_{i}" for i in range(dim)],
                [(r.T, cl,
-                 *[str(f) for f in r.centroids.centroids[cl].components()],
-                 *[float(f) for f in r.centroids.centroids[cl].components()])
+                 *[str(f) for f in r.centroids[cl].components()],
+                 *[float(f) for f in r.centroids[cl].components()])
                 for r in trace.rounds for cl in range(k)])
     _write_csv(out / "assignments.csv", config_dict,
                ["node", "cluster"] + [f"x_{i}" for i in range(dim)],

@@ -17,39 +17,13 @@ from .coordination import Agreed, DISAGREED, EMPTY, WindowOutcome
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 
 
-class CentroidSet:
-    """The k exact centroids of one round."""
-
-    __slots__ = ("centroids", "round_index")
-
-    def __init__(self, centroids: Iterable[FractionVector], round_index: int = 0):
-        self.centroids = tuple(centroids)
-        if not self.centroids:
-            raise ValueError("at least one centroid is required")
-        self.round_index = round_index
-
-    @property
-    def k(self) -> int:
-        return len(self.centroids)
-
-    @property
-    def dim(self) -> int:
-        return self.centroids[0].dim
-
-    def __repr__(self) -> str:
-        inner = ", ".join(str(c) for c in self.centroids)
-        return f"CentroidSet(T={self.round_index}: {inner})"
-
-
-def assign_cluster(x: Sequence[int], centroids: CentroidSet | Sequence[FractionVector],
+def assign_cluster(x: Sequence[int], centroids: Sequence[FractionVector],
                    tie_break: str = "low") -> int:
     """Index of the nearest centroid under exact squared distance.
 
     Ties go to the smallest index; ``tie_break="high"`` flips the rule and
     exists only to demonstrate how a non-canonical rule breaks agreement.
     """
-    if isinstance(centroids, CentroidSet):
-        centroids = centroids.centroids
     if tie_break not in ("low", "high"):
         raise ValueError("tie_break must be 'low' or 'high'")
     best = 0
@@ -73,28 +47,30 @@ def init_round(x: Sequence[int], assigned: int, k: int,
     return [(x, 1) if cl == assigned else (zero, 0) for cl in range(k)]
 
 
-def finalize_round(outcomes: Sequence[WindowOutcome], previous: CentroidSet,
-                   ) -> tuple[CentroidSet, bool]:
-    """Adopt the certified averages as the next centroid set.
+def finalize_round(outcomes: Sequence[WindowOutcome],
+                   previous: tuple[FractionVector, ...],
+                   ) -> tuple[tuple[FractionVector, ...], bool]:
+    """Adopt the certified averages as the next centroids; returns them and
+    whether they equal ``previous``.
 
     Empty clusters carry their previous centroid forward.  A Disagreed
     outcome means the stopping mechanism fired early, which the protocol
     rules out; it is reported loudly rather than patched over.
     """
-    if len(outcomes) != previous.k:
+    if len(outcomes) != len(previous):
         raise ValueError("outcome count does not match the centroid count")
     new = []
     for cl, outcome in enumerate(outcomes):
         if outcome is DISAGREED:
             raise RuntimeError(f"stopping fired with cluster {cl} still disagreeing")
         if outcome is EMPTY:
-            new.append(previous.centroids[cl])
+            new.append(previous[cl])
         elif isinstance(outcome, Agreed):
             new.append(outcome.value)
         else:
             raise TypeError(f"unknown window outcome {outcome!r}")
-    updated = CentroidSet(new, previous.round_index + 1)
-    return updated, updated.centroids == previous.centroids
+    updated = tuple(new)
+    return updated, updated == previous
 
 
 class NodeKMeansState:
@@ -112,21 +88,21 @@ class NodeKMeansState:
         self.instances: list[ConsensusState] = []
         self.flag = False
 
-    def begin_round(self, centroids: CentroidSet, assignment: int,
+    def begin_round(self, k: int, assignment: int,
                     ) -> list[tuple[int, int, Mass]]:
         """Take ``assignment``, the label of the centroid nearest to the
-        observation (``assign_cluster``, computed once per round by the
-        runner), inject labeled masses, and return the initial transmissions
-        (cluster label, destination, mass).  The injected mass ``x/1`` is
-        what the node holds when the round's first window opens; it leaves
-        on the initial transmission immediately after."""
+        observation among the round's ``k`` (``assign_cluster``, computed
+        once per round by the runner), inject labeled masses, and return the
+        initial transmissions (cluster label, destination, mass).  The
+        injected mass ``x/1`` is what the node holds when the round's first
+        window opens; it leaves on the initial transmission immediately
+        after."""
         if self.flag:
             raise RuntimeError("node already terminated")
         self.assignment = assignment
         messages: list[tuple[int, int, Mass]] = []
         self.instances = []
-        for cl, (y0, z0) in enumerate(init_round(self.x, self.assignment,
-                                                 centroids.k)):
+        for cl, (y0, z0) in enumerate(init_round(self.x, self.assignment, k)):
             state, initial = ConsensusState.create(y0, z0, self.targets)
             self.instances.append(state)
             if initial is not None:

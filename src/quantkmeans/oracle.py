@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactmath import FractionVector
-from .kmeans import CentroidSet, assign_cluster
+from .kmeans import assign_cluster
 
 
 def brute_average(vectors: Sequence[Sequence[int]]) -> FractionVector:
@@ -30,7 +30,7 @@ def brute_average(vectors: Sequence[Sequence[int]]) -> FractionVector:
 
 @dataclass
 class LloydResult:
-    centroid_sets: list[CentroidSet]      # index T = 0 .. rounds executed
+    centroid_sets: list[tuple[FractionVector, ...]]  # T = 0 .. rounds run
     assignments: list[list[int]]          # per executed round
     T: int
     terminated: bool
@@ -44,9 +44,12 @@ def lloyd_reference(observations: Sequence[Sequence[int]],
 
     Empty clusters carry their centroid forward.  The loop stops at the first
     round whose calculated centroids equal the previous round's calculation;
-    the initial guess itself never counts as a calculation.
+    the initial guess itself never counts as a calculation.  Each round's
+    centroids are a tuple; an empty initial guess is rejected.
     """
-    current = CentroidSet(initial_centroids, 0)
+    current = tuple(initial_centroids)
+    if not current:
+        raise ValueError("at least one centroid is required")
     sets = [current]
     assignment_history: list[list[int]] = []
     terminated = False
@@ -55,19 +58,19 @@ def lloyd_reference(observations: Sequence[Sequence[int]],
         T += 1
         labels = [assign_cluster(x, current, tie_break=tie_break)
                   for x in observations]
-        members: list[list[Sequence[int]]] = [[] for _ in range(current.k)]
+        members: list[list[Sequence[int]]] = [[] for _ in current]
         for x, label in zip(observations, labels):
             members[label].append(x)
         new = []
-        for cl in range(current.k):
+        for cl in range(len(current)):
             if members[cl]:
                 new.append(brute_average(members[cl]))
             else:
-                new.append(current.centroids[cl])
-        updated = CentroidSet(new, T)
+                new.append(current[cl])
+        updated = tuple(new)
         assignment_history.append(labels)
         sets.append(updated)
-        if T >= 2 and updated.centroids == current.centroids:
+        if T >= 2 and updated == current:
             terminated = True
         current = updated
     return LloydResult(sets, assignment_history, T, terminated)
@@ -89,12 +92,12 @@ def check_equivalence(trace, oracle: LloydResult) -> EquivalenceReport:
     rounds = min(len(distributed), len(reference))
     for t in range(rounds):
         a, b = distributed[t], reference[t]
-        for cl in range(a.k):
-            if a.centroids[cl] != b.centroids[cl]:
+        for cl in range(len(a)):
+            if a[cl] != b[cl]:
                 return EquivalenceReport(
                     False, (t, cl),
                     f"round {t} cluster {cl}: distributed "
-                    f"{a.centroids[cl]} vs reference {b.centroids[cl]}")
+                    f"{a[cl]} vs reference {b[cl]}")
     if trace.T != oracle.T:
         return EquivalenceReport(
             False, (rounds, -1),

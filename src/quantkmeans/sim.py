@@ -33,7 +33,7 @@ from .coordination import extrema_merge, snapshot, window_check  # noqa: F401
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected)
-from .kmeans import CentroidSet, NodeKMeansState, assign_cluster, finalize_round
+from .kmeans import NodeKMeansState, assign_cluster, finalize_round
 
 
 class ProtocolError(RuntimeError):
@@ -102,14 +102,14 @@ _node, _label, _pair = itemgetter(0), itemgetter(1), itemgetter(0, 1)
 class _LockStep:
     """One round of labeled averaging instances on every node.
 
-    Opening the round runs ``begin_round`` on every node with its label in
-    ``assignments`` and sends the initial transmissions at the round's first
-    step; each later step is ``deliver`` followed by ``emit``.  Only the
-    (node, label) pairs that received this step are polled, and each polled
-    trigger is evaluated once.  That is exact: a trigger reads only its
-    instance's held and stored pairs, ``emit`` zeroes the held pair and only
-    ``absorb_one`` changes it, so an instance that received nothing keeps
-    its last verdict.  Log entries are
+    Opening the round runs ``begin_round`` on every node with the label
+    count ``k`` and its label in ``assignments``, and sends the initial
+    transmissions at the round's first step; each later step is ``deliver``
+    followed by ``emit``.  Only the (node, label) pairs that received this
+    step are polled, and each polled trigger is evaluated once.  That is
+    exact: a trigger reads only its instance's held and stored pairs,
+    ``emit`` zeroes the held pair and only ``absorb_one`` changes it, so an
+    instance that received nothing keeps its last verdict.  Log entries are
     ``(step_base + step, sender, receiver, label, z, y)``.
 
     ``deliver`` and ``emit`` both mark the received pairs as touched (a check
@@ -121,7 +121,7 @@ class _LockStep:
     that changed without passing through the engine.
     """
 
-    def __init__(self, nodes: list[NodeKMeansState], centroids: CentroidSet,
+    def __init__(self, nodes: list[NodeKMeansState], k: int,
                  assignments: Sequence[int], stats: _MessageStats,
                  log: Optional[list], step_base: int):
         self.nodes = nodes
@@ -136,11 +136,11 @@ class _LockStep:
         # last read, and their sum per label; a new instance holds nothing
         self.touched: set[tuple[int, int]] = set()
         self.held: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.zero = (0,) * (centroids.dim + 1)
-        self.held_sums = [self.zero] * centroids.k
-        self.totals = [self.zero] * centroids.k   # injected (*y, z) per label
+        self.zero = (0,) * (len(nodes[0].x) + 1)
+        self.held_sums = [self.zero] * k
+        self.totals = [self.zero] * k   # injected (*y, z) per label
         for j, node in enumerate(nodes):
-            sends = node.begin_round(centroids, assignments[j])
+            sends = node.begin_round(k, assignments[j])
             row = self.totals[node.assignment]
             self.totals[node.assignment] = (*map(add, row, node.x),
                                             row[-1] + 1)
@@ -250,8 +250,7 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     log: Optional[list] = [] if log_messages else None
     nodes = [NodeKMeansState(j, values[j], orders.targets(j)) for j in range(n)]
     # Plain averaging is a round with a single label; its first step is 0.
-    lock = _LockStep(nodes, CentroidSet([average]), [0] * n, _MessageStats(),
-                     log, -1)
+    lock = _LockStep(nodes, 1, [0] * n, _MessageStats(), log, -1)
     states = [node.instances[0] for node in nodes]
     per_step = [lock.messages]
     step_bound = n * g.m * g.m
@@ -260,24 +259,24 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     def carries_average(y: tuple[int, ...], z: int) -> bool:
         return all(yi * n == ti * z for yi, ti in zip(y, total_y))
 
-    def faults(st) -> tuple[bool, bool]:
-        # the estimate is not the average; the held mass (a zero mass
-        # carries any ratio) does not carry the average ratio
-        exact = st.stored_z and carries_average(st.stored_y, st.stored_z)
-        return not exact, not carries_average(st.held_y, st.held_z)
+    def inexact(st) -> bool:
+        return not (st.stored_z and carries_average(st.stored_y, st.stored_z))
 
     # Only a step's receivers change, so only they are re-read.
-    node_faults = [faults(st) for st in states]
-    inexact, unsettled = map(sum, zip(*node_faults))
+    node_inexact = [inexact(st) for st in states]
+    inexact_count = sum(node_inexact)
 
     def masses_settled() -> bool:
         # Every held or in-flight mass must already carry the average ratio;
         # from such a state no future transmission can move any estimate.
-        return not unsettled and all(carries_average(mass.y, mass.z)
-                                     for _, _, mass in lock.pending)
+        # ``held`` omits zero masses, which carry any ratio.
+        return (all(carries_average(pair[:-1], pair[-1])
+                    for pair in lock.held.values())
+                and all(carries_average(mass.y, mass.z)
+                        for _, _, mass in lock.pending))
 
     step = 0
-    first_stable: Optional[int] = None if inexact else 0
+    first_stable: Optional[int] = None if inexact_count else 0
     lock.check_conservation()
     while first_stable is None or not masses_settled():
         if step >= cap:
@@ -289,10 +288,9 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
         per_step.append(len(lock.pending))
         lock.check_conservation()
         for j, _ in received:
-            old, node_faults[j] = node_faults[j], faults(states[j])
-            inexact += node_faults[j][0] - old[0]
-            unsettled += node_faults[j][1] - old[1]
-        if not inexact:
+            old, node_inexact[j] = node_inexact[j], inexact(states[j])
+            inexact_count += node_inexact[j] - old
+        if not inexact_count:
             if first_stable is None:
                 first_stable = step
         else:
@@ -319,7 +317,7 @@ class RoundRecord:
     steps: int
     mass_messages: int
     extrema_messages: int
-    centroids: CentroidSet
+    centroids: tuple[FractionVector, ...]
     objective: Fraction
 
 
@@ -332,7 +330,7 @@ class KMeansTrace:
     k: int
     dim: int
     rounds: list[RoundRecord]
-    centroid_sets: list[CentroidSet]
+    centroid_sets: list[tuple[FractionVector, ...]]
     final_assignments: list[int]
     T: int
     C_t: int
@@ -355,24 +353,19 @@ class KMeansTrace:
 
 def distance_objective(observations: Sequence[Sequence[int]],
                        assignments: Sequence[int],
-                       centroids: CentroidSet | Sequence[FractionVector],
-                       ) -> Fraction:
+                       centroids: Sequence[FractionVector]) -> Fraction:
     """Exact sum of squared distances of each observation to its assigned
     centroid.  Members of one cluster share the denominator ``c.den ** 2``,
     so the numerators are summed per cluster before combining."""
-    if isinstance(centroids, CentroidSet):
-        cents = centroids.centroids
-    else:
-        cents = tuple(centroids)
     if len(observations) != len(assignments):
         raise ValueError("one assignment per observation is required")
-    sums = [0] * len(cents)
+    sums = [0] * len(centroids)
     for x, label in zip(observations, assignments):
-        sums[label] += sq_dist_exact(x, cents[label]).num
+        sums[label] += sq_dist_exact(x, centroids[label]).num
     total = Fraction(0, 1)
     for label, num in enumerate(sums):
         if num:
-            den = cents[label].den
+            den = centroids[label].den
             total = (total + Fraction(num, den * den)).reduced()
     return total
 
@@ -398,13 +391,13 @@ def _window_verdict(k: int, held: dict[tuple[int, int], tuple[int, ...]]):
     return tuple(verdict)
 
 
-def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
+def _run_round(nodes: list[NodeKMeansState], k: int,
                assignments: Sequence[int], window: int, m_edges: int,
                step_cap: int, stats: _MessageStats,
                log: Optional[list], step_base: int):
     """One full round of the inner loop: inject labeled masses under
-    ``assignments`` (each node's nearest centroid in ``centroids``), run the
-    averaging instances with windowed stopping, return when a window closes
+    ``assignments`` (each node's nearest of the round's ``k`` centroids), run
+    the averaging instances with windowed stopping, return when a window closes
     with no cluster still disagreeing.  The window rule is applied after a
     step's delivery and before its emission, so no message leaves on the
     closing step and the bus is empty at every round boundary.  Each window
@@ -414,8 +407,7 @@ def _run_round(nodes: list[NodeKMeansState], centroids: CentroidSet,
     The first window reads every node's injected ``x_j/1`` under its label,
     every later one the engine's ``held`` pairs right after the conservation
     check."""
-    lock = _LockStep(nodes, centroids, assignments, stats, log, step_base)
-    k = centroids.k
+    lock = _LockStep(nodes, k, assignments, stats, log, step_base)
     verdict = _window_verdict(k, {(j, cl): (*node.x, 1) for j, (node, cl)
                                   in enumerate(zip(nodes, assignments))})
     merges = 0
@@ -463,7 +455,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
         orders = assign_edge_orders(g)
 
     nodes = [NodeKMeansState(j, x[j], orders.targets(j)) for j in range(n)]
-    current = CentroidSet(initial_centroids, 0)
+    current = tuple(initial_centroids)
 
     log: Optional[list] = [] if log_messages else None
     stats = _MessageStats()
@@ -477,8 +469,8 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     while T < max_rounds and not terminated:
         T += 1
         steps, mass_msgs, ext_msgs, outcomes = _run_round(
-            nodes, current, assignments, window, g.m, per_round_cap, stats,
-            log, C_t)
+            nodes, k, assignments, window, g.m, per_round_cap, stats, log,
+            C_t)
         current, unchanged = finalize_round(outcomes, current)
         assignments = [assign_cluster(v, current) for v in x]
         rounds.append(RoundRecord(T, steps, mass_msgs, ext_msgs, current,
@@ -642,6 +634,8 @@ def sweep(config: ExperimentConfig, num_seeds: int,
     order, so the aggregate does not depend on the worker count."""
     if num_seeds < 1:
         raise ValueError("num_seeds must be positive")
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be a positive integer")
     config.validate()
     jobs = [(config, index) for index in range(num_seeds)]
     if workers is not None and workers > 1:

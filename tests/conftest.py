@@ -42,9 +42,9 @@ def over_step_bound(monkeypatch):
 
     run_round = sim._run_round
 
-    def long_round(nodes, centroids, assignments, window, m_edges, *args):
-        steps, *rest = run_round(nodes, centroids, assignments, window,
-                                 m_edges, *args)
+    def long_round(nodes, k, assignments, window, m_edges, *args):
+        steps, *rest = run_round(nodes, k, assignments, window, m_edges,
+                                 *args)
         return (steps + len(nodes) * m_edges ** 2 + window, *rest)
 
     monkeypatch.setattr(sim._LockStep, "deliver", slow_deliver)

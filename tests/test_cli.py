@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -330,6 +331,16 @@ class TestSweepCommand:
                      "sweep_thist.csv", "sweep_fmean.csv"):
             assert read(dir_a / name) == read(dir_b / name)
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_an_input_error(self, tmp_path, capsys,
+                                                 workers):
+        rc = main(["sweep", "--n", "10", "--k", "2", "--seeds", "1",
+                   "--workers", workers, "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: workers must be a positive integer\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag",
                              ["--graph", "--observations", "--centroids"])
     def test_input_file_flags_are_refused(self, tmp_path, flag):
@@ -370,3 +381,77 @@ class TestConfigFile:
                        encoding="utf-8")
         assert main(["kmeans", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == 0
+
+
+PIN_FLAGS = ["--n", "16", "--k", "3", "--p", "0.2", "--box", "0:30",
+             "--seed", "8"]
+
+
+def digests(root):
+    return {path.relative_to(root).as_posix():
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestArtifactsPinned:
+    """Every file a command writes, byte for byte.  The commands run in the
+    output directory, so only relative paths are embedded."""
+
+    def test_kmeans(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["kmeans", *PIN_FLAGS, "--oracle-check",
+                     "--log-messages"]) == 0
+        assert capsys.readouterr().out == \
+            "equivalence: pass\nT=7 C_t=211 terminated=True\n"
+        assert digests(tmp_path) == {
+            "assignments.csv": "782a0978bf1c92698a282e3ec5ca2df5"
+                               "ce4f4626a43e08937a4135bfa29f62ea",
+            "fcurve.csv": "5a1692355adcc149feeb3da86affaff2"
+                          "806122fbc7896a780a4ebc530c7a00ff",
+            "kmeans_summary.json": "bac51c558305f39b1496e38aa40023ca"
+                                   "e8512fa1efdd497e59a7e35fad7d6a19",
+            "messages.csv": "d1180b969d49455f3e78cee18ccc5ee1"
+                            "46c68136386946e3ae7b2692bd71ef4f",
+            "rounds.csv": "4712a47ebc77f49b9b2fe578d3020255"
+                          "7bfcbed82d443d572a72203a4c8af583",
+            "trajectories.csv": "26fde24cd53d00be6946ec2fb9e60cbb"
+                                "5a43449db0c6b451e2e0a511a17e0756",
+        }
+
+    def test_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", *PIN_FLAGS, "--seeds", "3"]) == 0
+        assert digests(tmp_path) == {
+            "sweep_aggregate.json": "8aff256bb3caa5499548fb4ccf806c64"
+                                    "910894c3fffd18a476b5dc3a90637d57",
+            "sweep_fmean.csv": "14c8974b98a66fc22c5d18d272017ea6"
+                               "fbcc54db624731edeb3da3807aa714fc",
+            "sweep_per_seed.csv": "48c7a81e6d0d50f0ce4c3324c746dae9"
+                                  "92dd2dc206a270f8ee36471f8c511b2e",
+            "sweep_thist.csv": "7bad4eb2134a3e557fff5e48a47516d7"
+                               "46a7aee1d3c47f1799b9b8a5c051f7ee",
+        }
+
+    def test_gen_graph_then_consensus(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "v.txt").write_text(
+            "".join(f"{i % 4} {2 * i % 5}\n" for i in range(12)),
+            encoding="utf-8")
+        assert main(["gen-graph", "--n", "12", "--p", "0.3", "--seed", "5",
+                     "-o", "g.txt"]) == 0
+        assert main(["consensus", "--graph", "g.txt", "--values", "v.txt",
+                     "--log-messages"]) == 0
+        assert digests(tmp_path) == {
+            "consensus_messages.csv": "5a492c2bd17ee8a2fbdbebce66d8d5e8"
+                                      "75750da9967677de9903ff33b835d7fa",
+            "consensus_summary.json": "9893b31e625ebaf26fe25f81602b520a"
+                                      "b56b9038869f4a06d28d96a47f0649d3",
+            "consensus_trace.csv": "37a5241d47ae4643c190f6bc084f1e3d"
+                                   "ad025f443e13953c1702319316a3ede0",
+            "g.txt": "acff5e2cc9760c8ca32950cc60fa49d9"
+                     "3fb19c7901268d83991344f06f7f99c6",
+            "g.txt.meta.json": "9f115fd3ccff13af9bb8898311e6b06f"
+                               "65d39ae26399f10270912b141338ca2b",
+            "v.txt": "847c18e42ec83bb9d6b704dd039b746a"
+                     "af87741c8f8034db895281e435e9385d",
+        }

@@ -2,7 +2,7 @@ import pytest
 
 from quantkmeans.coordination import Agreed, DISAGREED, EMPTY
 from quantkmeans.exactmath import FractionVector
-from quantkmeans.kmeans import (CentroidSet, assign_cluster, finalize_round,
+from quantkmeans.kmeans import (assign_cluster, finalize_round,
                                 init_round, parse_centroids,
                                 parse_observations, serialize_centroids, serialize_observations)
 
@@ -26,10 +26,6 @@ class TestAssign:
         assert assign_cluster((0, 0), [fv(1, 0), fv(0, 1)], tie_break="high") == 1
         assert assign_cluster((0, 0), [fv(1, 0), fv(0, 2)], tie_break="high") == 0
 
-    def test_accepts_centroid_set(self):
-        cs = CentroidSet([fv(1, 0), fv(0, 2)])
-        assert assign_cluster((0, 0), cs) == 0
-
 
 class TestInitRound:
     def test_member_label_gets_the_observation(self):
@@ -51,30 +47,30 @@ class TestInitRound:
 
 class TestFinalize:
     def test_unchanged_centroids_terminate(self):
-        previous = CentroidSet([fv(3, 4), fv(1, 1)], 4)
+        previous = (fv(3, 4), fv(1, 1))
         outcomes = (Agreed(fv(3, 4)), Agreed(fv(1, 1)))
         updated, done = finalize_round(outcomes, previous)
         assert done
-        assert updated.round_index == 5
+        assert updated == previous
 
     def test_changed_centroid_continues(self):
-        previous = CentroidSet([fv(3, 4)], 0)
+        previous = (fv(3, 4),)
         updated, done = finalize_round((Agreed(fv(7, 8, den=2)),), previous)
         assert not done
-        assert updated.centroids[0] == fv(7, 8, den=2)
+        assert updated[0] == fv(7, 8, den=2)
 
     def test_empty_cluster_carries_previous(self):
-        previous = CentroidSet([fv(1), fv(9, 9)], 2)
+        previous = (fv(1), fv(9, 9))
         updated, done = finalize_round((Agreed(fv(1)), EMPTY), previous)
-        assert updated.centroids[1] == fv(9, 9)
+        assert updated[1] == fv(9, 9)
         assert done
 
     def test_disagreed_is_a_protocol_violation(self):
         with pytest.raises(RuntimeError):
-            finalize_round((DISAGREED,), CentroidSet([fv(0)]))
+            finalize_round((DISAGREED,), (fv(0),))
 
     def test_value_based_termination(self):
-        previous = CentroidSet([fv(4)], 1)
+        previous = (fv(4),)
         updated, done = finalize_round((Agreed(fv(12, den=3)),), previous)
         assert done
 

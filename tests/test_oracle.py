@@ -39,13 +39,17 @@ class TestLloyd:
         result = lloyd_reference([(0,), (2,), (10,), (12,)], [fv(1), fv(11)])
         assert result.T == 2
         assert result.terminated
-        assert result.centroid_sets[-1].centroids[0] == fv(1)
-        assert result.centroid_sets[-1].centroids[1] == fv(11)
+        assert result.centroid_sets[-1][0] == fv(1)
+        assert result.centroid_sets[-1][1] == fv(11)
 
     def test_single_cluster_is_plain_averaging(self):
         result = lloyd_reference([(1,), (2,), (6,)], [fv(0)])
         assert result.T == 2
-        assert result.centroid_sets[-1].centroids[0] == fv(3)
+        assert result.centroid_sets[-1][0] == fv(3)
+
+    def test_empty_initial_centroids_rejected(self):
+        with pytest.raises(ValueError, match="at least one centroid"):
+            lloyd_reference([(1,), (2,)], [])
 
     def test_objective_is_monotone(self):
         rng = random.Random(31)
@@ -91,4 +95,4 @@ class TestEquivalence:
         trace = run_kmeans(g, obs, cents)
         report = check_equivalence(trace, lloyd_reference(obs, cents))
         assert report.passed
-        assert trace.centroid_sets[-1].centroids[1] == fv(9, 9)
+        assert trace.centroid_sets[-1][1] == fv(9, 9)

@@ -10,7 +10,7 @@ from quantkmeans.coordination import (extrema_merge, flood_verdict, snapshot,
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
                                generate_random_digraph)
-from quantkmeans.kmeans import CentroidSet, NodeKMeansState
+from quantkmeans.kmeans import NodeKMeansState
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
 from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
@@ -21,6 +21,16 @@ from conftest import agreed_pairs, cycle_digraph
 
 def fv(*nums, den=1):
     return FractionVector(tuple(nums), den)
+
+
+def ladder_digraph(n):
+    """The chain 0 -> 1 -> ... -> n-2 -> s with s = n-1, where s sends to 0
+    and every chain node but n-2 also sends to s.  Under the canonical
+    orders every chain rotor points back to s after its first send, so the
+    merged mass rarely walks far along the chain: both step bounds fail."""
+    s = n - 1
+    edges = [(i + 1, i) for i in range(n - 2)] + [(s, n - 2), (0, s)]
+    return Digraph(n, edges + [(s, i) for i in range(n - 2)])
 
 
 class TestRunConsensus:
@@ -74,6 +84,14 @@ class TestRunConsensus:
         assert (trace.S_t, trace.step_bound) == (73196, 55223)
         assert trace.bound_ok is False
         assert all(e == fv(8, den=23) for e in trace.estimates)
+
+    def test_ladder_overshoot_is_reported(self):
+        trace = run_consensus(ladder_digraph(14),
+                              [(i % 3,) for i in range(14)])
+        assert trace.S_t == trace.steps == 10537
+        assert trace.step_bound == 9464
+        assert trace.bound_ok is False
+        assert all(e == fv(13, den=14) for e in trace.estimates)
 
     def test_random_batch_matches_brute_average(self):
         rng = random.Random(6)
@@ -405,8 +423,7 @@ def reference_stop_rule(g, values, orders):
     total = [sum(col) for col in zip(*values)]
     nodes = [NodeKMeansState(j, values[j], orders.targets(j))
              for j in range(n)]
-    lock = sim._LockStep(nodes, CentroidSet([FractionVector(total, n)]),
-                         [0] * n, sim._MessageStats(), None, -1)
+    lock = sim._LockStep(nodes, 1, [0] * n, sim._MessageStats(), None, -1)
     states = [node.instances[0] for node in nodes]
 
     def carries_average(y, z):
@@ -550,13 +567,23 @@ class TestRunKMeans:
         trace = run_kmeans(g, obs, [fv(0)])
         assert trace.T == 2
         assert trace.terminated
-        assert trace.centroid_sets[-1].centroids[0] == fv(6)
+        assert trace.centroid_sets[-1][0] == fv(6)
+
+    def test_ladder_overshoot_is_reported(self):
+        g = ladder_digraph(16)
+        obs = [(i % 5, 7 * i % 4) for i in range(16)]
+        cents = [fv(0, 0), fv(4, 3)]
+        trace = run_kmeans(g, obs, cents)
+        assert (trace.T, trace.C_t, trace.step_bound) == (4, 96034, 57660)
+        assert trace.bound_ok is False
+        assert trace.terminated
+        assert check_equivalence(trace, lloyd_reference(obs, cents)).passed
 
     def test_empty_cluster_carries_centroid(self):
         g = generate_random_digraph(4, 0.5, seed=3)
         trace = run_kmeans(g, [(7, 7)] * 4, [fv(7, 7), fv(9, 9)])
         assert trace.T == 2
-        assert trace.centroid_sets[-1].centroids[1] == fv(9, 9)
+        assert trace.centroid_sets[-1][1] == fv(9, 9)
         assert trace.terminated
 
     def test_objective_monotone_and_bound_checked(self):
@@ -601,8 +628,8 @@ class TestRunKMeans:
         b = run_kmeans(g, obs, cents, log_messages=True)
         assert a.message_log == b.message_log
         assert a.C_t == b.C_t
-        assert [str(c) for s in a.centroid_sets for c in s.centroids] == \
-               [str(c) for s in b.centroid_sets for c in s.centroids]
+        assert [str(c) for s in a.centroid_sets for c in s] == \
+               [str(c) for s in b.centroid_sets for c in s]
 
     def test_max_rounds_reports_unterminated(self):
         g = generate_random_digraph(6, 0.3, seed=9)
@@ -621,7 +648,7 @@ class TestRunKMeans:
         g = cycle_digraph(5)
         trace = run_kmeans(g, [(i,) for i in range(5)], [fv(0)], d_bound=9)
         assert trace.terminated
-        assert trace.centroid_sets[-1].centroids[0] == fv(2)
+        assert trace.centroid_sets[-1][0] == fv(2)
 
     def test_rejects_too_many_clusters(self):
         g = cycle_digraph(4)
@@ -722,8 +749,8 @@ class TestExperimentsAndSweep:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert a.T == b.T and a.C_t == b.C_t
-        assert [str(c) for c in a.centroid_sets[-1].centroids] == \
-               [str(c) for c in b.centroid_sets[-1].centroids]
+        assert [str(c) for c in a.centroid_sets[-1]] == \
+               [str(c) for c in b.centroid_sets[-1]]
         assert a.config == cfg.as_dict()
 
     def test_config_validation(self):
