@@ -125,7 +125,8 @@ class NodeKMeansState:
     def mass_phase(self, labels: Iterable[int]) -> list[tuple[int, int, Mass]]:
         """Run the event trigger of the given labels' instances in the given
         order, once each; returns the outgoing (cluster label, destination,
-        mass) transmissions."""
+        mass) transmissions.  The per-node form of what the engine's
+        ``_LockStep.emit`` does in place; the tests hold it to this."""
         out = []
         for cl in labels:
             state = self.instances[cl]

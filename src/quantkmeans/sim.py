@@ -4,7 +4,10 @@ Every message sent at step t is delivered at step t+1; there is no loss,
 duplication, or reordering.  All nodes advance in lock step, so a run is a
 pure function of (graph, edge orders, initial data) and repeated runs are
 bit-identical.  One engine, ``_LockStep``, runs every round of labeled
-averaging instances; the runners differ only in their stop rule.  Plain
+averaging instances; the runners differ only in their stop rule.  The engine
+delivers, triggers, emits and counts every message in one loop over the
+instances' fields, with no per-message method call; the per-node methods of
+``consensus`` and ``kmeans`` are the reference the tests hold it to.  Plain
 averaging is a one-label round that stops once every estimate is exact and
 every remaining mass carries the average; a clustering round stops when a
 stopping window closes with every cluster agreed.  Mass conservation is
@@ -22,8 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from itertools import groupby
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .consensus import Mass
@@ -96,21 +98,22 @@ class _MessageStats:
             self.bits += a.bit_length() + 1
 
 
-_node, _label, _pair = itemgetter(0), itemgetter(1), itemgetter(0, 1)
-
-
 class _LockStep:
     """One round of labeled averaging instances on every node.
 
     Opening the round runs ``begin_round`` on every node with the label
     count ``k`` and its label in ``assignments``, and sends the initial
     transmissions at the round's first step; each later step is ``deliver``
-    followed by ``emit``.  Only the (node, label) pairs that received this
-    step are polled, and each polled trigger is evaluated once.  That is
-    exact: a trigger reads only its instance's held and stored pairs,
-    ``emit`` zeroes the held pair and only ``absorb_one`` changes it, so an
-    instance that received nothing keeps its last verdict.  Log entries are
-    ``(step_base + step, sender, receiver, label, z, y)``.
+    followed by ``emit``.  Both work on the instances' fields directly, with
+    no per-message method call: ``deliver`` adds every mass in flight to its
+    receiver's held pair, and ``emit`` polls only the (node, label) pairs
+    that received this step, in ascending order, evaluating each trigger
+    once and doing ``ConsensusState.emit``'s work in place for each one that
+    fires.  That is exact: a trigger reads only its instance's held and
+    stored pairs, and only ``deliver`` and a firing change them, so an
+    instance that received nothing keeps its last verdict.  The message
+    counts, ``_MessageStats`` and the log are added up per step.  Log
+    entries are ``(step_base + step, sender, receiver, label, z, y)``.
 
     ``deliver`` and ``emit`` both mark the received pairs as touched (a check
     may fall between them).  ``check_conservation`` re-reads only touched
@@ -146,8 +149,10 @@ class _LockStep:
                                             row[-1] + 1)
             for cl, dest, mass in sends:
                 self.send(j, dest, cl, mass)
+        self.instances = [node.instances for node in nodes]
 
     def send(self, sender: int, receiver: int, cl: int, mass: Mass) -> None:
+        """One transmission outside ``emit``: a round's initial ones."""
         step = self.step_base + self.steps
         self.pending.append((receiver, cl, mass))
         self.messages += 1
@@ -160,22 +165,55 @@ class _LockStep:
         """Advance one step: every message in flight reaches its receiver.
         Returns the received (node, label) pairs in ascending order."""
         self.steps += 1
-        nodes = self.nodes
-        for receiver, cl, mass in self.pending:
-            nodes[receiver].instances[cl].absorb_one(mass.y, mass.z)
-        received = set(map(_pair, self.pending))
+        instances = self.instances
+        received = set()
+        for receiver, cl, (y, z) in self.pending:
+            st = instances[receiver][cl]
+            st.held_y = tuple(map(add, st.held_y, y))
+            st.held_z += z
+            received.add((receiver, cl))
         self.pending = []
         self.touched |= received
         return sorted(received)
 
     def emit(self, received: list[tuple[int, int]]) -> None:
-        """Poll the received pairs, node by node, and send what their
-        triggered instances emit."""
+        """Poll the received pairs in order and send what their triggered
+        instances emit.  The trigger is ``ConsensusState.trigger``: a zero
+        held pair never fires, any other fires when (held z, held y) is at
+        least (stored z, stored y)."""
         self.touched.update(received)
-        nodes = self.nodes
-        for j, pairs in groupby(received, _node):
-            for cl, dest, mass in nodes[j].mass_phase(map(_label, pairs)):
-                self.send(j, dest, cl, mass)
+        instances, pending, log = self.instances, self.pending, self.log
+        stats = self.stats
+        step = self.step_base + self.steps
+        zero_y = self.zero[:-1]
+        top, bits, sent = stats.max_component, stats.bits, 0
+        for j, cl in received:
+            st = instances[j][cl]
+            hy, hz = st.held_y, st.held_z
+            if not (hz or any(hy)) or (hz, hy) < (st.stored_z, st.stored_y):
+                continue
+            st.stored_y, st.stored_z = hy, hz
+            st.held_y, st.held_z = zero_y, 0
+            targets = st.targets
+            target = targets[st.e]
+            st.tr += 1
+            st.e = st.tr % len(targets)
+            pending.append((target, cl, Mass(hy, hz)))
+            sent += 1
+            if hz > top:
+                top = hz
+            bits += hz.bit_length()
+            for v in hy:
+                a = v if v >= 0 else -v
+                if a > top:
+                    top = a
+                bits += a.bit_length() + 1
+            if log is not None:
+                log.append((step, j, target, cl, hz, hy))
+        if sent:
+            self.messages += sent
+            stats.max_component, stats.bits = top, bits
+            stats.last_step = step
 
     def check_conservation(self) -> None:
         """Held plus in-flight mass must equal, label by label, the mass
@@ -183,10 +221,10 @@ class _LockStep:
         since the previous check, and drops a pair from ``held`` when its
         held mass returns to zero."""
         touched, self.touched = self.touched, set()
-        nodes, held, sums = self.nodes, self.held, self.held_sums
+        instances, held, sums = self.instances, self.held, self.held_sums
         for pair in touched:
             j, cl = pair
-            st = nodes[j].instances[cl]
+            st = instances[j][cl]
             new = (*st.held_y, st.held_z)
             old = held.get(pair, self.zero)
             if new != old:
@@ -201,8 +239,7 @@ class _LockStep:
         """``check_conservation`` from the whole state, not the cache."""
         self._compare([(*map(sum, zip(*(st.held_y for st in states))),
                         sum(st.held_z for st in states))
-                       for states in zip(*(node.instances
-                                           for node in self.nodes))])
+                       for states in zip(*self.instances)])
 
     def _compare(self, held_sums: list[tuple[int, ...]]) -> None:
         rows = list(held_sums)
@@ -269,11 +306,12 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     def masses_settled() -> bool:
         # Every held or in-flight mass must already carry the average ratio;
         # from such a state no future transmission can move any estimate.
-        # ``held`` omits zero masses, which carry any ratio.
-        return (all(carries_average(pair[:-1], pair[-1])
-                    for pair in lock.held.values())
-                and all(carries_average(mass.y, mass.z)
-                        for _, _, mass in lock.pending))
+        # ``held`` omits zero masses, which carry any ratio.  In-flight
+        # masses need no scan: each equals its sender's stored estimate, so
+        # once every estimate is exact, every in-flight mass carries the
+        # average.
+        return all(carries_average(pair[:-1], pair[-1])
+                   for pair in lock.held.values())
 
     step = 0
     first_stable: Optional[int] = None if inexact_count else 0

@@ -49,3 +49,19 @@ def over_step_bound(monkeypatch):
 
     monkeypatch.setattr(sim._LockStep, "deliver", slow_deliver)
     monkeypatch.setattr(sim, "_run_round", long_round)
+
+
+@pytest.fixture
+def delivery_leak(monkeypatch):
+    """Every step's delivery gains one counter unit: it is added to the
+    first (node, label) pair the delivery just touched."""
+    deliver = sim._LockStep.deliver
+
+    def leaky(self):
+        received = deliver(self)
+        if received:
+            j, cl = received[0]
+            self.nodes[j].instances[cl].held_z += 1
+        return received
+
+    monkeypatch.setattr(sim._LockStep, "deliver", leaky)

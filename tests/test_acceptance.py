@@ -11,7 +11,6 @@ import random
 import pytest
 
 from quantkmeans.cli import main as cli_main
-from quantkmeans.consensus import ConsensusState
 from quantkmeans.coordination import ClusterExtrema, extrema_merge, snapshot
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
@@ -104,18 +103,12 @@ def test_criterion_1_exact_quantized_average(consensus_batch):
           f"exact average with S_t <= n*m^2 on every run")
 
 
-def test_criterion_2_mass_conservation(consensus_batch, monkeypatch):
+def test_criterion_2_mass_conservation(consensus_batch, delivery_leak):
     # run_consensus verifies exact conservation of (y, z) over node-held plus
     # in-flight mass at every step and raises on the first violation; traces
     # only exist because every step balanced.  The check itself must catch
     # one counter unit gained on delivery.
     g, values, _ = consensus_batch[0]
-    absorb_one = ConsensusState.absorb_one
-
-    def leaky(self, y, z):
-        absorb_one(self, y, z + 1)
-
-    monkeypatch.setattr(ConsensusState, "absorb_one", leaky)
     with pytest.raises(ProtocolError, match="mass conservation violated"):
         run_consensus(g, values)
     print(f"\n[criterion 2] PASS: exact (y, z) conservation held at every "

@@ -5,12 +5,12 @@ import pytest
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState, Mass
-from quantkmeans.coordination import (extrema_merge, flood_verdict, snapshot,
-                                      window_check)
+from quantkmeans.coordination import (all_settled, extrema_merge,
+                                      flood_verdict, snapshot, window_check)
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
                                generate_random_digraph)
-from quantkmeans.kmeans import NodeKMeansState
+from quantkmeans.kmeans import NodeKMeansState, assign_cluster, finalize_round
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
 from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
@@ -174,6 +174,54 @@ def reference_consensus(g, values, orders):
     return log, first_stable, step, [st.estimate for st in states]
 
 
+def reference_kmeans(g, obs, cents, orders):
+    """The clustering protocol as a plain per-node loop, with ``D`` the
+    diameter.  Each step every node absorbs its inbox, the window rule
+    applies, and then, unless the window closed the round, every node polls
+    all ``k`` labels through ``ConsensusState.trigger`` and ``emit``
+    (``NodeKMeansState.mass_phase``).  A window's verdict is the max/min
+    fold over every node's snapshot.  Returns the message log, the centroid
+    sets and the steps of each round."""
+    k, window = len(cents), diameter(g)
+    nodes = [NodeKMeansState(j, obs[j], orders.targets(j))
+             for j in range(g.n)]
+    centroid_sets, round_steps, log = [tuple(cents)], [], []
+
+    def fold(values):
+        every = [snapshot(v) for v in values]
+        return window_check(extrema_merge(every[0], every[1:]))
+
+    while len(round_steps) < 2 or centroid_sets[-1] != centroid_sets[-2]:
+        base, step, pending = sum(round_steps), 1, []
+        for j, node in enumerate(nodes):
+            label = assign_cluster(node.x, centroid_sets[-1])
+            for cl, dest, mass in node.begin_round(k, label):
+                pending.append((dest, cl, mass))
+                log.append((base + step, j, dest, cl, mass.z, mass.y))
+        verdict = fold([[FractionVector(node.x, 1) if cl == node.assignment
+                         else None for cl in range(k)] for node in nodes])
+        merges = 0
+        while True:
+            step += 1
+            for dest, cl, mass in pending:
+                nodes[dest].instances[cl].absorb_one(mass.y, mass.z)
+            pending = []
+            merges += 1
+            if merges == window:
+                if all_settled(verdict):
+                    break
+                verdict = fold([node.held_snapshot_values()
+                                for node in nodes])
+                merges = 0
+            for j, node in enumerate(nodes):
+                for cl, dest, mass in node.mass_phase(range(k)):
+                    pending.append((dest, cl, mass))
+                    log.append((base + step, j, dest, cl, mass.z, mass.y))
+        round_steps.append(step)
+        centroid_sets.append(finalize_round(verdict, centroid_sets[-1])[0])
+    return log, centroid_sets, round_steps
+
+
 class TestLockStepMatchesPerNodeReference:
     @pytest.mark.parametrize("case", range(12))
     def test_run_consensus_matches_node_step_loop(self, case):
@@ -197,13 +245,7 @@ class TestLockStepMatchesPerNodeReference:
 
 
 class TestConservationCheck:
-    def test_extra_counter_unit_is_caught(self, monkeypatch):
-        absorb_one = ConsensusState.absorb_one
-
-        def leaky(self, y, z):
-            absorb_one(self, y, z + 1)
-
-        monkeypatch.setattr(ConsensusState, "absorb_one", leaky)
+    def test_extra_counter_unit_is_caught(self, delivery_leak):
         with pytest.raises(ProtocolError, match="mass conservation violated"):
             run_consensus(cycle_digraph(4), [(1,), (2,), (3,), (4,)])
         g = generate_random_digraph(8, 0.3, seed=13)
@@ -249,13 +291,15 @@ def held_totals(nodes):
             for states in zip(*(node.instances for node in nodes))]
 
 
-def run_both_runners(seed, check):
+def run_both_runners(seed, check, log_messages=False):
     """Call ``check`` with a plain averaging run and then a clustering run
     of ``seed``, each as a callable with no arguments."""
     g, values, orders = random_consensus_case(seed)
-    check(lambda: run_consensus(g, values, orders=orders))
+    check(lambda: run_consensus(g, values, orders=orders,
+                                log_messages=log_messages))
     g, obs, cents, orders = random_kmeans_case(seed)
-    check(lambda: run_kmeans(g, obs, cents, orders=orders))
+    check(lambda: run_kmeans(g, obs, cents, orders=orders,
+                             log_messages=log_messages))
 
 
 class TestIncrementalConservation:
@@ -288,14 +332,22 @@ class TestIncrementalConservation:
             self, monkeypatch, leak, seed):
         # Every check must raise exactly when a whole-state sum first
         # disagrees with the injected mass, as the whole-state check did.
-        emit = ConsensusState.emit
+        # Each instance that fires gains one counter unit, on the message
+        # it sends or on the held pair it keeps.
+        emit = sim._LockStep.emit
 
-        def leaky(self):
-            target, mass = emit(self)
+        def leaky(lock, received):
+            states = [lock.nodes[j].instances[cl] for j, cl in received]
+            fired_before = [st.tr for st in states]
+            sent = len(lock.pending)
+            emit(lock, received)
             if leak == "held":
-                self.held_z += 1
-                return target, mass
-            return target, Mass(mass.y, mass.z + 1)
+                for st, tr in zip(states, fired_before):
+                    if st.tr != tr:
+                        st.held_z += 1
+            else:
+                lock.pending[sent:] = [(r, cl, Mass(mass.y, mass.z + 1))
+                                       for r, cl, mass in lock.pending[sent:]]
 
         check = sim._LockStep.check_conservation
         balanced = []
@@ -315,7 +367,7 @@ class TestIncrementalConservation:
                 run()
             assert balanced[-1] is False and all(balanced[:-1])
 
-        monkeypatch.setattr(ConsensusState, "emit", leaky)
+        monkeypatch.setattr(sim._LockStep, "emit", leaky)
         monkeypatch.setattr(sim._LockStep, "check_conservation", compared)
         run_both_runners(seed, caught_first_time)
 
@@ -371,49 +423,49 @@ def corrupt_one_held_pair(step, run):
 
 
 class TestEmitOnlyWhenTriggered:
-    """``ConsensusState.emit`` does not re-check the trigger: every caller,
-    the lock-step engine of both runners and the per-node ``node_step``,
-    must emit only an instance whose trigger holds."""
+    """The engine evaluates the trigger inline: on every step of both
+    runners, the logged (sender, label) sends must be, in order, exactly
+    the received pairs whose ``ConsensusState.trigger`` holds before
+    ``emit``."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_every_emit_finds_its_trigger_holding(self, monkeypatch, seed):
-        emit = ConsensusState.emit
-        calls = []
+        emit = sim._LockStep.emit
+        sends = []
 
-        def checked(state):
-            assert state.trigger(), "emit called with the trigger off"
-            calls.append(state)
-            return emit(state)
+        def checked(lock, received):
+            due = [(j, cl) for j, cl in received
+                   if lock.nodes[j].instances[cl].trigger()]
+            logged = len(lock.log)
+            emit(lock, received)
+            assert [(sender, cl) for _, sender, _, cl, _, _
+                    in lock.log[logged:]] == due
+            sends.extend(due)
 
         def emits(run):
-            calls.clear()
+            sends.clear()
             run()
-            assert calls
+            assert sends
 
-        monkeypatch.setattr(ConsensusState, "emit", checked)
-        run_both_runners(seed, emits)
-        g, values, orders = random_consensus_case(seed)
-        emits(lambda: reference_consensus(g, values, orders))
+        monkeypatch.setattr(sim._LockStep, "emit", checked)
+        run_both_runners(seed, emits, log_messages=True)
 
 
 class TestPollingReceivedPairs:
     @pytest.mark.parametrize("seed", range(8))
-    def test_polling_every_label_of_a_receiver_changes_nothing(
-            self, monkeypatch, seed):
-        # The old rule polled all k instances of every receiver.
+    def test_polling_every_label_of_a_receiver_changes_nothing(self, seed):
+        # The engine polls only the received pairs; the reference polls all
+        # k labels of every node.
         g, obs, cents, orders = random_kmeans_case(seed, k_max=6)
-        fast = run_kmeans(g, obs, cents, orders=orders, log_messages=True)
-        mass_phase = NodeKMeansState.mass_phase
-
-        def every_label(self, labels):
-            return mass_phase(self, range(len(self.instances)))
-
-        monkeypatch.setattr(NodeKMeansState, "mass_phase", every_label)
-        full = run_kmeans(g, obs, cents, orders=orders, log_messages=True)
-        assert fast.message_log == full.message_log
-        assert (fast.T, fast.C_t, fast.mass_messages, fast.extrema_messages) \
-            == (full.T, full.C_t, full.mass_messages, full.extrema_messages)
-        assert fast.terminated
+        trace = run_kmeans(g, obs, cents, orders=orders, log_messages=True)
+        log, centroid_sets, round_steps = reference_kmeans(g, obs, cents,
+                                                           orders)
+        assert trace.message_log == log
+        assert (trace.T, trace.C_t) == (len(round_steps), sum(round_steps))
+        assert [r.steps for r in trace.rounds[1:]] == round_steps
+        assert trace.centroid_sets == centroid_sets
+        assert trace.mass_messages == len(log)
+        assert trace.terminated
 
 
 def reference_stop_rule(g, values, orders):
