@@ -279,12 +279,12 @@ def cmd_kmeans(args) -> int:
                ["T", "steps", "mass_messages", "extrema_messages",
                 "F_num", "F_den"] + [f"c_{cl}" for cl in range(k)],
                [(r.T, r.steps, r.mass_messages, r.extrema_messages,
-                 r.objective.reduced().num, r.objective.reduced().den,
+                 r.objective.numerator, r.objective.denominator,
                  *[_centroid_cell(c) for c in r.centroids])
                 for r in trace.rounds])
     _write_csv(out / "fcurve.csv", config_dict,
                ["T", "F_num", "F_den", "F_float"],
-               [(r.T, r.objective.reduced().num, r.objective.reduced().den,
+               [(r.T, r.objective.numerator, r.objective.denominator,
                  float(r.objective)) for r in trace.rounds])
     dim = trace.dim
     _write_csv(out / "trajectories.csv", config_dict,

@@ -1,86 +1,31 @@
-"""Exact arbitrary-precision rational arithmetic for quantized-fraction states.
+"""Exact rational arithmetic for quantized-fraction states.
 
 Every protocol decision (event triggers, nearest-centroid assignment,
 extrema comparisons, termination tests) is made on integers via
 cross-multiplication.  No floating point enters the decision path; floats
 exist only as projections for plot data.
 
-Unlike the stdlib fractions module, values are NOT reduced on construction:
-a state such as 12/3 keeps its counter denominator until ``reduced()`` is
-called.  Equality and ordering are value-based, so 12/3 == 4/1.
+A node's state is a ``FractionVector``: integer numerators over one counter
+denominator, NOT reduced on construction, so a state such as 12/3 keeps its
+counter denominator until ``reduced()`` is called.  Equality is value-based,
+so 12/3 == 4/1.  Scalars are the standard library's ``fractions.Fraction``;
+``Fraction`` here adds only the ``num/den`` text every artifact uses.
 """
 
 from __future__ import annotations
 
+import fractions
 from math import gcd
 from typing import Iterable, Sequence
 
 
-class Fraction:
-    """A rational number ``num/den`` with ``den > 0``, compared by value."""
+class Fraction(fractions.Fraction):
+    """``fractions.Fraction`` written ``num/den``, integers as ``N/1``."""
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: int, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("fraction denominator must be nonzero")
-        if den < 0:
-            num, den = -num, -den
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def parse(cls, text: str) -> "Fraction":
-        """Parse ``"num/den"`` or a plain integer literal."""
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return cls(int(num), int(den))
-        return cls(int(text), 1)
-
-    def reduced(self) -> "Fraction":
-        g = gcd(self.num, self.den)
-        if g <= 1:
-            return self
-        return Fraction(self.num // g, self.den // g)
-
-    # Comparisons cross-multiply; denominators are positive by construction.
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Fraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __lt__(self, other: "Fraction") -> bool:
-        return self.num * other.den < other.num * self.den
-
-    def __le__(self, other: "Fraction") -> bool:
-        return self.num * other.den <= other.num * self.den
-
-    def __gt__(self, other: "Fraction") -> bool:
-        return self.num * other.den > other.num * self.den
-
-    def __ge__(self, other: "Fraction") -> bool:
-        return self.num * other.den >= other.num * self.den
-
-    def __hash__(self) -> int:
-        r = self.reduced()
-        return hash((r.num, r.den))
-
-    def __add__(self, other: "Fraction") -> "Fraction":
-        if self.den == other.den:
-            return Fraction(self.num + other.num, self.den)
-        return Fraction(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    def __float__(self) -> float:
-        return self.num / self.den
+    __slots__ = ()
 
     def __str__(self) -> str:
-        r = self.reduced()
-        return f"{r.num}/{r.den}"
-
-    def __repr__(self) -> str:
-        return f"Fraction({self.num}, {self.den})"
+        return f"{self.numerator}/{self.denominator}"
 
 
 class FractionVector:
@@ -99,10 +44,6 @@ class FractionVector:
             den = -den
         self.nums = nums
         self.den = den
-
-    @classmethod
-    def from_ints(cls, values: Iterable[int]) -> "FractionVector":
-        return cls(tuple(values), 1)
 
     @property
     def dim(self) -> int:
@@ -155,9 +96,9 @@ class FractionVector:
         return f"FractionVector({self.nums!r}, {self.den})"
 
 
-def sq_dist_exact(x: Sequence[int], c: FractionVector) -> Fraction:
+def sq_dist_exact(x: Sequence[int], c: FractionVector) -> int:
     """Exact squared Euclidean distance between an integer point and a
-    rational point, as a fraction over ``c.den ** 2``."""
+    rational point: the integer numerator over ``c.den ** 2``."""
     if len(x) != len(c.nums):
         raise ValueError("dimension mismatch")
     den = c.den
@@ -165,4 +106,4 @@ def sq_dist_exact(x: Sequence[int], c: FractionVector) -> Fraction:
     for xi, ci in zip(x, c.nums):
         diff = xi * den - ci
         num += diff * diff
-    return Fraction(num, den * den)
+    return num

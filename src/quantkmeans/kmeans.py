@@ -10,11 +10,12 @@ exactly equal.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .consensus import ConsensusState, Mass
 from .coordination import Agreed, DISAGREED, EMPTY, WindowOutcome
-from .exactmath import Fraction, FractionVector, sq_dist_exact
+from .exactmath import FractionVector, sq_dist_exact
 
 
 def assign_cluster(x: Sequence[int], centroids: Sequence[FractionVector],
@@ -26,13 +27,16 @@ def assign_cluster(x: Sequence[int], centroids: Sequence[FractionVector],
     """
     if tie_break not in ("low", "high"):
         raise ValueError("tie_break must be 'low' or 'high'")
+    # Distances are numerators over den**2, compared by cross-multiplying.
     best = 0
-    best_dist = sq_dist_exact(x, centroids[0])
+    c = centroids[0]
+    best_num, best_den = sq_dist_exact(x, c), c.den * c.den
     for idx in range(1, len(centroids)):
-        dist = sq_dist_exact(x, centroids[idx])
-        if dist < best_dist or (tie_break == "high" and dist == best_dist):
-            best = idx
-            best_dist = dist
+        c = centroids[idx]
+        num, den = sq_dist_exact(x, c), c.den * c.den
+        lhs, rhs = num * best_den, best_num * den
+        if lhs < rhs or (tie_break == "high" and lhs == rhs):
+            best, best_num, best_den = idx, num, den
     return best
 
 
@@ -164,6 +168,16 @@ def serialize_observations(observations: Sequence[Sequence[int]]) -> str:
     return "\n".join(" ".join(str(v) for v in row) for row in observations) + "\n"
 
 
+def _parse_coordinate(token: str) -> tuple[int, int]:
+    """``num/den`` or a plain integer as ``(num, den)``.  Only ``int`` reads
+    the halves, so decimals, exponents and empty halves are rejected."""
+    num, slash, den = token.partition("/")
+    den = int(den) if slash else 1
+    if den == 0:
+        raise ValueError("zero denominator")
+    return int(num), den
+
+
 def parse_centroids(text: str) -> list[FractionVector]:
     """One centroid per line: d tokens, each ``num/den`` or a plain integer."""
     rows: list[FractionVector] = []
@@ -172,17 +186,15 @@ def parse_centroids(text: str) -> list[FractionVector]:
         if not raw.strip():
             continue
         try:
-            parts = [Fraction.parse(tok) for tok in raw.split()]
-        except (ValueError, ZeroDivisionError):
+            parts = [_parse_coordinate(tok) for tok in raw.split()]
+        except ValueError:
             raise ValueError(f"line {lineno}: bad centroid coordinate") from None
         if dim is None:
             dim = len(parts)
         elif len(parts) != dim:
             raise ValueError(f"line {lineno}: expected {dim} coordinates")
-        den = 1
-        for f in parts:
-            den *= f.den
-        nums = tuple(f.num * (den // f.den) for f in parts)
+        den = prod(d for _, d in parts)
+        nums = tuple(n * (den // d) for n, d in parts)
         rows.append(FractionVector(nums, den).reduced())
     if not rows:
         raise ValueError("no centroids found")

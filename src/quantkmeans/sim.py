@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from math import lcm
 from operator import add, sub
 from typing import Optional, Sequence
 
@@ -394,18 +395,17 @@ def distance_objective(observations: Sequence[Sequence[int]],
                        centroids: Sequence[FractionVector]) -> Fraction:
     """Exact sum of squared distances of each observation to its assigned
     centroid.  Members of one cluster share the denominator ``c.den ** 2``,
-    so the numerators are summed per cluster before combining."""
+    so the numerators are summed per cluster, then over a common
+    denominator."""
     if len(observations) != len(assignments):
         raise ValueError("one assignment per observation is required")
     sums = [0] * len(centroids)
     for x, label in zip(observations, assignments):
-        sums[label] += sq_dist_exact(x, centroids[label]).num
-    total = Fraction(0, 1)
-    for label, num in enumerate(sums):
-        if num:
-            den = centroids[label].den
-            total = (total + Fraction(num, den * den)).reduced()
-    return total
+        sums[label] += sq_dist_exact(x, centroids[label])
+    squares = [c.den * c.den for c in centroids]
+    den = lcm(*squares)
+    return Fraction(sum(num * (den // sq) for num, sq in zip(sums, squares)),
+                    den)
 
 
 def _window_verdict(k: int, held: dict[tuple[int, int], tuple[int, ...]]):
@@ -584,7 +584,7 @@ def generate_centroids(config: ExperimentConfig) -> list[FractionVector]:
     out = []
     for _ in range(config.k):
         point = tuple(rng.randint(lo, hi) for lo, hi in config.region)
-        out.append(FractionVector.from_ints(point))
+        out.append(FractionVector(point))
     return out
 
 

@@ -123,8 +123,8 @@ class TestFloodedExtremaMatchDirectComputation:
                     entry = state[0]
                     up = entry.upper.component(dim)
                     down = entry.lower.component(dim)
-                    assert fractions.Fraction(up.num, up.den) == hi
-                    assert fractions.Fraction(down.num, down.den) == lo
+                    assert fractions.Fraction(up.numerator, up.denominator) == hi
+                    assert fractions.Fraction(down.numerator, down.denominator) == lo
 
 
 def fold_verdict(snapshots):

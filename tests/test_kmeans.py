@@ -1,4 +1,7 @@
+import fractions
+
 import pytest
+from hypothesis import given, strategies as st
 
 from quantkmeans.coordination import Agreed, DISAGREED, EMPTY
 from quantkmeans.exactmath import FractionVector
@@ -25,6 +28,22 @@ class TestAssign:
     def test_high_tie_break_flips_only_ties(self):
         assert assign_cluster((0, 0), [fv(1, 0), fv(0, 1)], tie_break="high") == 1
         assert assign_cluster((0, 0), [fv(1, 0), fv(0, 2)], tie_break="high") == 0
+
+    @pytest.mark.parametrize("tie_break", ["low", "high"])
+    @given(data=st.data())
+    def test_matches_stdlib_argmin(self, tie_break, data):
+        # small coordinates over mixed denominators make exact ties common
+        dim = data.draw(st.integers(1, 3))
+        coords = st.lists(st.integers(-6, 6), min_size=dim, max_size=dim)
+        x = tuple(data.draw(coords))
+        centroids = data.draw(st.lists(
+            st.builds(FractionVector, coords, st.integers(1, 4)),
+            min_size=1, max_size=5))
+        dists = [sum((xi - fractions.Fraction(ci, c.den)) ** 2
+                     for xi, ci in zip(x, c.nums)) for c in centroids]
+        nearest = [i for i, d in enumerate(dists) if d == min(dists)]
+        expected = nearest[0] if tie_break == "low" else nearest[-1]
+        assert assign_cluster(x, centroids, tie_break) == expected
 
 
 class TestInitRound:
@@ -87,9 +106,10 @@ class TestFiles:
             parse_observations("1 2\n3\n")
 
     def test_centroid_parse_mixed_tokens(self):
-        rows = parse_centroids("1/2 3\n-4 5/5\n")
+        rows = parse_centroids("1/2 3\n-4 5/5\n3/-4 0\n")
         assert rows[0] == fv(1, 6, den=2)
         assert rows[1] == fv(-4, 1)
+        assert rows[2] == fv(-3, 0, den=4)
 
     def test_centroid_round_trip(self):
         rows = [fv(1, 6, den=2), fv(-4, 1)]
@@ -97,5 +117,7 @@ class TestFiles:
         assert all(a == b for a, b in zip(rows, again))
 
     def test_centroid_errors(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_centroids("x y\n")
+        # fractions.Fraction would read the decimal and exponent forms
+        for text in ("x y\n", "1.5\n", "1e3\n", "1/0\n", "3/\n", "/2\n"):
+            with pytest.raises(ValueError, match="line 1"):
+                parse_centroids(text)

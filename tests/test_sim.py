@@ -1,7 +1,9 @@
+import fractions
 import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState, Mass
@@ -778,6 +780,7 @@ class TestDistanceObjective:
     def test_pair_around_centroid(self):
         value = distance_objective([(0, 0), (2, 0)], [0, 0], [fv(1, 0)])
         assert value == Fraction(2, 1)
+        assert str(value) == "2/1"
 
     def test_zero_when_observations_sit_on_centroids(self):
         value = distance_objective([(3, 3), (3, 3)], [0, 0], [fv(3, 3)])
@@ -791,6 +794,22 @@ class TestDistanceObjective:
     def test_fractional_centroid(self):
         value = distance_objective([(3,)], [0], [fv(7, den=2)])
         assert value == Fraction(1, 4)
+        value = distance_objective([(3,), (0,)], [0, 1],
+                                   [fv(7, den=2), fv(1, den=3)])
+        assert str(value) == "13/36"
+
+    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 3)),
+                    min_size=1, max_size=8),
+           st.lists(st.tuples(st.integers(-60, 60), st.integers(1, 6)),
+                    min_size=4, max_size=4))
+    def test_matches_stdlib_sum(self, members, cents):
+        observations = [(x,) for x, _ in members]
+        labels = [label for _, label in members]
+        centroids = [fv(num, den=den) for num, den in cents]
+        expected = sum((x - fractions.Fraction(*cents[label])) ** 2
+                       for x, label in members)
+        value = distance_objective(observations, labels, centroids)
+        assert isinstance(value, Fraction) and value == expected
 
 
 class TestExperimentsAndSweep:
