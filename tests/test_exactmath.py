@@ -20,9 +20,72 @@ class TestFraction:
         assert issubclass(Fraction, fractions.Fraction)
         assert Fraction(6, 4) == fractions.Fraction(3, 2)
 
+    def test_equality_is_value_based(self):
+        assert Fraction(6, 2) == Fraction(3, 1)
+        assert Fraction(1, 3) == Fraction(2, 6)
+        assert Fraction(1, 3) != Fraction(2, 5)
+
+    def test_ordering(self):
+        assert Fraction(1, 3) < Fraction(2, 5)
+        assert Fraction(-1, 2) < Fraction(0, 1)
+        assert not Fraction(4, 2) < Fraction(2, 1)
+
+    def test_negative_denominator_is_normalized(self):
+        f = Fraction(1, -2)
+        assert f.denominator == 2 and f.numerator == -1
+        assert str(f) == "-1/2"
+
+    def test_zero_denominator_rejected(self):
+        import pytest
+        with pytest.raises(ZeroDivisionError):
+            Fraction(1, 0)
+
+    def test_reduce(self):
+        # reduced on construction
+        assert (Fraction(6, 4).numerator, Fraction(6, 4).denominator) == (3, 2)
+        r = Fraction(0, 7)
+        assert (r.numerator, r.denominator) == (0, 1)
+        r = Fraction(-6, 3)
+        assert (r.numerator, r.denominator) == (-2, 1)
+
     def test_str_is_reduced_canonical(self):
         assert str(Fraction(12, 3)) == "4/1"
         assert str(Fraction(-6, 4)) == "-3/2"
+
+    def test_parse(self):
+        # centroid tokens: "num/den" or a plain integer, read by int() alone
+        from quantkmeans.kmeans import _parse_coordinate
+        assert Fraction(*_parse_coordinate("7/2")) == Fraction(7, 2)
+        assert Fraction(*_parse_coordinate("-3")) == Fraction(-3, 1)
+        assert str(Fraction(*_parse_coordinate("3/-4"))) == "-3/4"
+
+    @given(anyint, nonzero, anyint, nonzero)
+    def test_comparisons_match_stdlib(self, a, b, c, d):
+        x, y = Fraction(a, b), Fraction(c, d)
+        sx, sy = as_std(x), as_std(y)
+        assert (x == y) == (sx == sy)
+        assert (x < y) == (sx < sy)
+        assert (x <= y) == (sx <= sy)
+        assert (x > y) == (sx > sy)
+
+    @given(anyint, nonzero, anyint, nonzero)
+    def test_add_matches_stdlib(self, a, b, c, d):
+        x, y = Fraction(a, b), Fraction(c, d)
+        assert x + y == as_std(x) + as_std(y)
+
+    @given(anyint, nonzero)
+    def test_reduce_preserves_value_and_is_coprime(self, a, b):
+        from math import gcd
+        f = Fraction(a, b)
+        assert as_std(f) == fractions.Fraction(a, b)
+        assert gcd(f.numerator, f.denominator) == 1
+        assert f.denominator > 0
+        assert str(f) == f"{f.numerator}/{f.denominator}"
+
+    @given(anyint, nonzero, anyint, nonzero)
+    def test_strict_total_order_trichotomy(self, a, b, c, d):
+        x, y = Fraction(a, b), Fraction(c, d)
+        assert sum([x < y, y < x, x == y]) == 1
 
 
 class TestFractionVector:
