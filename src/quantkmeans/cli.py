@@ -68,7 +68,12 @@ def _pick(args, file_values: dict, key: str, default, convert):
     if flag is not None:
         return flag
     if key in file_values:
-        return convert(file_values[key])
+        value = file_values[key]
+        try:
+            return convert(value)
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r}: bad value {value!r}") from None
     return default
 
 

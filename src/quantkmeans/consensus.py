@@ -48,7 +48,9 @@ class ConsensusState:
     def create(cls, y0: tuple[int, ...], z0: int, targets: tuple[int, ...],
                ) -> tuple["ConsensusState", Optional[tuple[int, Mass]]]:
         """Initialize an instance with mass (y0, z0) and, for a participating
-        node (z0 = 1), emit the initial transmission to the order-0 neighbor.
+        node (z0 = 1), emit the initial transmission to the order-0 neighbor:
+        the injected pair is held and, as it always passes the trigger,
+        ``emit`` sends it.
 
         A labeled non-participant (z0 = 0, zero vector) starts silent with no
         stored state: it will act as a relay once mass reaches it.
@@ -61,12 +63,8 @@ class ConsensusState:
             if any(y0):
                 raise ValueError("zero counter mass requires a zero value mass")
             return state, None
-        state.stored_y = y0
-        state.stored_z = 1
-        message = (targets[0], Mass(y0, 1))
-        state.tr = 1
-        state.e = 1 % len(targets)
-        return state, message
+        state.held_y, state.held_z = y0, 1
+        return state, state.emit()
 
     @property
     def estimate(self) -> Optional[FractionVector]:

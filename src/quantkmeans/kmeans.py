@@ -78,11 +78,10 @@ def finalize_round(outcomes: Sequence[WindowOutcome],
 
 
 class NodeKMeansState:
-    """One node's full clustering state: its observation, current assignment,
-    the k labeled averaging instances of the running round, and the terminal
-    flag."""
+    """One node's full clustering state: its observation, current assignment
+    and the k labeled averaging instances of the running round."""
 
-    __slots__ = ("node_id", "x", "targets", "assignment", "instances", "flag")
+    __slots__ = ("node_id", "x", "targets", "assignment", "instances")
 
     def __init__(self, node_id: int, x: Sequence[int], targets: tuple[int, ...]):
         self.node_id = node_id
@@ -90,19 +89,17 @@ class NodeKMeansState:
         self.targets = targets
         self.assignment: Optional[int] = None
         self.instances: list[ConsensusState] = []
-        self.flag = False
 
     def begin_round(self, k: int, assignment: int,
                     ) -> list[tuple[int, int, Mass]]:
         """Take ``assignment``, the label of the centroid nearest to the
-        observation among the round's ``k`` (``assign_cluster``, computed
-        once per round by the runner), inject labeled masses, and return the
-        initial transmissions (cluster label, destination, mass).  The
-        injected mass ``x/1`` is what the node holds when the round's first
-        window opens; it leaves on the initial transmission immediately
-        after."""
-        if self.flag:
-            raise RuntimeError("node already terminated")
+        observation among the round's ``k`` (``assign_cluster``), inject
+        labeled masses, and return the initial transmissions (cluster label,
+        destination, mass).  The injected mass ``x/1`` is what the node holds
+        when the round's first window opens; it leaves on the initial
+        transmission immediately after.  The engine (``sim._LockStep``)
+        opens a round the same way on instances it builds itself; the tests
+        hold it to this."""
         self.assignment = assignment
         messages: list[tuple[int, int, Mass]] = []
         self.instances = []
@@ -138,9 +135,6 @@ class NodeKMeansState:
                 target, mass = state.emit()
                 out.append((cl, target, mass))
         return out
-
-    def set_flag(self) -> None:
-        self.flag = True
 
 
 def parse_observations(text: str) -> list[tuple[int, ...]]:

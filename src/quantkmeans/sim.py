@@ -4,21 +4,25 @@ Every message sent at step t is delivered at step t+1; there is no loss,
 duplication, or reordering.  All nodes advance in lock step, so a run is a
 pure function of (graph, edge orders, initial data) and repeated runs are
 bit-identical.  One engine, ``_LockStep``, runs every round of labeled
-averaging instances; the runners differ only in their stop rule.  The engine
-delivers, triggers, emits and counts every message in one loop over the
-instances' fields, with no per-message method call; the per-node methods of
-``consensus`` and ``kmeans`` are the reference the tests hold it to.  Plain
-averaging is a one-label round that stops once every estimate is exact and
-every remaining mass carries the average; a clustering round stops when a
-stopping window closes with every cluster agreed.  Mass conservation is
-checked on every step of plain averaging and at every window boundary of a
-clustering round, and a violation fails loudly.  Those checks and the stop
-rule re-read only the (node, label) pairs a step touched, each window's
-verdict reads the held pairs the check has just verified, and a whole-state
-check closes every round.  The runners report whether the run kept the
-protocol's step bound (``bound_ok``; only a run far past it raises) and, for
-clustering, whether the bus stayed silent from the flag step on
-(``silent_after_stop``).
+averaging instances; the runners differ only in their stop rule.  It builds
+its own instances and opens a round as the paper's nodes do: each node holds
+its observation as ``x_j/1`` under its label, and the engine's ``emit``
+sends it (an injected pair always passes the trigger).  It delivers,
+triggers, emits and counts every message in one loop over the instances'
+fields, with no per-message method call; the per-node methods of
+``consensus`` and ``kmeans`` are not called on a run, only by the tests that
+hold the engine to them.  Plain averaging is a one-label round that stops
+once every estimate is exact and every remaining mass carries the average; a
+clustering round stops when a stopping window closes with every cluster
+agreed.  Mass conservation is checked on every step of plain averaging and
+at every window boundary of a clustering round, and a violation fails
+loudly.  Those checks and the stop rule re-read only the (node, label) pairs
+a step touched, each window's verdict reads the engine's held pairs (the
+injected ones at the opening, later the ones the check has just verified),
+and a whole-state check closes every round.  The runners report whether the
+run kept the protocol's step bound (``bound_ok``; only a run far past it
+raises) and, for clustering, whether the bus stayed silent from the flag
+step on (``silent_after_stop``).
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ from math import lcm
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .consensus import Mass
+from .consensus import ConsensusState, Mass
 from .coordination import Agreed, DISAGREED, EMPTY, all_settled
 # bound here only because the benchmark's tracer wraps these names in ``sim``
 from .coordination import extrema_merge, snapshot, window_check  # noqa: F401
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected)
-from .kmeans import NodeKMeansState, assign_cluster, finalize_round
+from .kmeans import assign_cluster, finalize_round
 
 
 class ProtocolError(RuntimeError):
@@ -102,19 +106,22 @@ class _MessageStats:
 class _LockStep:
     """One round of labeled averaging instances on every node.
 
-    Opening the round runs ``begin_round`` on every node with the label
-    count ``k`` and its label in ``assignments``, and sends the initial
-    transmissions at the round's first step; each later step is ``deliver``
-    followed by ``emit``.  Both work on the instances' fields directly, with
-    no per-message method call: ``deliver`` adds every mass in flight to its
-    receiver's held pair, and ``emit`` polls only the (node, label) pairs
-    that received this step, in ascending order, evaluating each trigger
-    once and doing ``ConsensusState.emit``'s work in place for each one that
-    fires.  That is exact: a trigger reads only its instance's held and
-    stored pairs, and only ``deliver`` and a firing change them, so an
-    instance that received nothing keeps its last verdict.  The message
-    counts, ``_MessageStats`` and the log are added up per step.  Log
-    entries are ``(step_base + step, sender, receiver, label, z, y)``.
+    Each node ``j`` gets ``k`` instances on ``targets[j]`` and holds the
+    pair ``(x_j, 1)`` under its label ``assignments[j]``; ``held`` and the
+    per-label sums start from these pairs.  An injected pair always fires,
+    so the runner opens the round by calling ``emit`` on the held pairs at
+    the round's first step, after reading any opening verdict from
+    ``held``; each later step is ``deliver`` followed by ``emit``.  Both
+    work on the instances' fields directly, with no per-message method
+    call: ``deliver`` adds every mass in flight to its receiver's held pair,
+    and ``emit`` polls only the (node, label) pairs that received this step,
+    in ascending order, evaluating each trigger once and doing
+    ``ConsensusState.emit``'s work in place for each one that fires.  That
+    is exact: a trigger reads only its instance's held and stored pairs, and
+    only ``deliver`` and a firing change them, so an instance that received
+    nothing keeps its last verdict.  The message counts, ``_MessageStats``
+    and the log are added up per step.  Log entries are
+    ``(step_base + step, sender, receiver, label, z, y)``.
 
     ``deliver`` and ``emit`` both mark the received pairs as touched (a check
     may fall between them).  ``check_conservation`` re-reads only touched
@@ -125,10 +132,13 @@ class _LockStep:
     that changed without passing through the engine.
     """
 
-    def __init__(self, nodes: list[NodeKMeansState], k: int,
+    def __init__(self, x: Sequence[tuple[int, ...]],
+                 targets: Sequence[tuple[int, ...]], k: int,
                  assignments: Sequence[int], stats: _MessageStats,
                  log: Optional[list], step_base: int):
-        self.nodes = nodes
+        dim = len(x[0])
+        self.instances = [[ConsensusState(dim, t) for _ in range(k)]
+                          for t in targets]
         self.stats = stats
         self.log = log
         self.step_base = step_base
@@ -137,30 +147,17 @@ class _LockStep:
         # messages in flight: (receiver, label, mass)
         self.pending: list[tuple[int, int, Mass]] = []
         # pairs touched since the last check, every nonzero held (*y, z) as
-        # last read, and their sum per label; a new instance holds nothing
+        # last read, and their sum per label
         self.touched: set[tuple[int, int]] = set()
         self.held: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.zero = (0,) * (len(nodes[0].x) + 1)
-        self.held_sums = [self.zero] * k
+        self.zero = (0,) * (dim + 1)
         self.totals = [self.zero] * k   # injected (*y, z) per label
-        for j, node in enumerate(nodes):
-            sends = node.begin_round(k, assignments[j])
-            row = self.totals[node.assignment]
-            self.totals[node.assignment] = (*map(add, row, node.x),
-                                            row[-1] + 1)
-            for cl, dest, mass in sends:
-                self.send(j, dest, cl, mass)
-        self.instances = [node.instances for node in nodes]
-
-    def send(self, sender: int, receiver: int, cl: int, mass: Mass) -> None:
-        """One transmission outside ``emit``: a round's initial ones."""
-        step = self.step_base + self.steps
-        self.pending.append((receiver, cl, mass))
-        self.messages += 1
-        self.stats.record(mass)
-        self.stats.last_step = step
-        if self.log is not None:
-            self.log.append((step, sender, receiver, cl, mass.z, mass.y))
+        for j, cl in enumerate(assignments):
+            st = self.instances[j][cl]
+            st.held_y, st.held_z = x[j], 1
+            self.held[j, cl] = pair = (*x[j], 1)
+            self.totals[cl] = tuple(map(add, self.totals[cl], pair))
+        self.held_sums = list(self.totals)
 
     def deliver(self) -> list[tuple[int, int]]:
         """Advance one step: every message in flight reaches its receiver.
@@ -286,10 +283,11 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     total_y = tuple(sum(v[i] for v in values) for i in range(dim))
     average = FractionVector(total_y, n)
     log: Optional[list] = [] if log_messages else None
-    nodes = [NodeKMeansState(j, values[j], orders.targets(j)) for j in range(n)]
+    targets = [orders.targets(j) for j in range(n)]
     # Plain averaging is a round with a single label; its first step is 0.
-    lock = _LockStep(nodes, 1, [0] * n, _MessageStats(), log, -1)
-    states = [node.instances[0] for node in nodes]
+    lock = _LockStep(values, targets, 1, [0] * n, _MessageStats(), log, -1)
+    lock.emit(list(lock.held))
+    states = [row[0] for row in lock.instances]
     per_step = [lock.messages]
     step_bound = n * g.m * g.m
     cap = _RUNAWAY_FACTOR * step_bound
@@ -429,7 +427,8 @@ def _window_verdict(k: int, held: dict[tuple[int, int], tuple[int, ...]]):
     return tuple(verdict)
 
 
-def _run_round(nodes: list[NodeKMeansState], k: int,
+def _run_round(x: Sequence[tuple[int, ...]],
+               targets: Sequence[tuple[int, ...]], k: int,
                assignments: Sequence[int], window: int, m_edges: int,
                step_cap: int, stats: _MessageStats,
                log: Optional[list], step_base: int):
@@ -442,14 +441,16 @@ def _run_round(nodes: list[NodeKMeansState], k: int,
     boundary first checks conservation, so every verdict, the closing one
     included, comes from checked masses.
 
-    The first window reads every node's injected ``x_j/1`` under its label,
-    every later one the engine's ``held`` pairs right after the conservation
+    Every verdict reads the engine's ``held`` pairs: the first one the
+    injected ``x_j/1`` under each node's label, before the opening ``emit``
+    sends them, every later one the pairs right after the conservation
     check."""
-    lock = _LockStep(nodes, k, assignments, stats, log, step_base)
-    verdict = _window_verdict(k, {(j, cl): (*node.x, 1) for j, (node, cl)
-                                  in enumerate(zip(nodes, assignments))})
+    lock = _LockStep(x, targets, k, assignments, stats, log, step_base)
+    verdict = _window_verdict(k, lock.held)
+    received = list(lock.held)      # the injected pairs open the round
     merges = 0
     while True:
+        lock.emit(received)
         if lock.steps > step_cap:
             raise ProtocolError(
                 f"round did not stop within {step_cap} steps")
@@ -464,7 +465,6 @@ def _run_round(nodes: list[NodeKMeansState], k: int,
                         m_edges * (lock.steps - 1), verdict)
             verdict = _window_verdict(k, lock.held)
             merges = 0
-        lock.emit(received)
 
 
 def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
@@ -492,7 +492,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     if orders is None:
         orders = assign_edge_orders(g)
 
-    nodes = [NodeKMeansState(j, x[j], orders.targets(j)) for j in range(n)]
+    targets = [orders.targets(j) for j in range(n)]
     current = tuple(initial_centroids)
 
     log: Optional[list] = [] if log_messages else None
@@ -507,17 +507,14 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     while T < max_rounds and not terminated:
         T += 1
         steps, mass_msgs, ext_msgs, outcomes = _run_round(
-            nodes, k, assignments, window, g.m, per_round_cap, stats, log,
-            C_t)
+            x, targets, k, assignments, window, g.m, per_round_cap, stats,
+            log, C_t)
         current, unchanged = finalize_round(outcomes, current)
         assignments = [assign_cluster(v, current) for v in x]
         rounds.append(RoundRecord(T, steps, mass_msgs, ext_msgs, current,
                                   distance_objective(x, assignments, current)))
         C_t += steps
-        if T >= 2 and unchanged:
-            terminated = True
-            for node in nodes:
-                node.set_flag()
+        terminated = T >= 2 and unchanged
 
     step_bound = T * (window + n * g.m * g.m)
     return KMeansTrace(

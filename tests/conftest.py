@@ -42,10 +42,10 @@ def over_step_bound(monkeypatch):
 
     run_round = sim._run_round
 
-    def long_round(nodes, k, assignments, window, m_edges, *args):
-        steps, *rest = run_round(nodes, k, assignments, window, m_edges,
+    def long_round(x, targets, k, assignments, window, m_edges, *args):
+        steps, *rest = run_round(x, targets, k, assignments, window, m_edges,
                                  *args)
-        return (steps + len(nodes) * m_edges ** 2 + window, *rest)
+        return (steps + len(x) * m_edges ** 2 + window, *rest)
 
     monkeypatch.setattr(sim._LockStep, "deliver", slow_deliver)
     monkeypatch.setattr(sim, "_run_round", long_round)
@@ -61,7 +61,7 @@ def delivery_leak(monkeypatch):
         received = deliver(self)
         if received:
             j, cl = received[0]
-            self.nodes[j].instances[cl].held_z += 1
+            self.instances[j][cl].held_z += 1
         return received
 
     monkeypatch.setattr(sim._LockStep, "deliver", leaky)

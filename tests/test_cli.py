@@ -373,6 +373,23 @@ class TestConfigFile:
             f"error: config line 5: unknown key '{key}'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["kmeans", "gen-graph"])
+    @pytest.mark.parametrize("key, value", [("n", "abc"), ("p", "x")])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, command, key,
+                                     value):
+        cfg = tmp_path / "run.cfg"
+        valid = "" if key == "n" else "n=6\n"
+        cfg.write_text(f"{valid}k=2\nbox=0:5\n{key}={value}\n",
+                       encoding="utf-8")
+        out = tmp_path / "out"
+        args = {"kmeans": ["--out-dir", str(out)],
+                "gen-graph": ["--out", str(out / "g.txt")]}[command]
+        rc = main([command, "--config", str(cfg), *args])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: config key '{key}': bad value '{value}'\n"
+        assert not out.exists()
+
     def test_every_documented_key_is_accepted(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=8\nk=2\ndim=2\np=0.3\nregion=0:9,0:9\nbox=0:9\n"

@@ -246,6 +246,38 @@ class TestLockStepMatchesPerNodeReference:
         assert trace.messages == len(log)
 
 
+class TestRunsCallNoPerNodeMethod:
+    """The engine builds, opens and drives its instances itself.  With every
+    per-node protocol method made to raise, the runners and ``sweep`` must
+    return exactly what they return unpatched."""
+
+    PER_NODE = [(ConsensusState, name) for name in
+                ("create", "emit", "trigger", "absorb_one", "node_step")] + \
+               [(NodeKMeansState, name) for name in
+                ("begin_round", "mass_phase", "held_snapshot_values")]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_results_match_unpatched_runs(self, monkeypatch, seed):
+        g, values, orders = random_consensus_case(seed)
+        g2, obs, cents, orders2 = random_kmeans_case(seed)
+        cfg = ExperimentConfig(n=9, k=2, dim=2, region=((0, 12), (0, 12)),
+                               extra_edge_probability=0.3, graph_seed=seed)
+        runs = [
+            lambda: run_consensus(g, values, orders=orders,
+                                  log_messages=True),
+            lambda: run_kmeans(g2, obs, cents, orders=orders2,
+                               log_messages=True),
+            lambda: sweep(cfg, 2)]
+        expected = [run() for run in runs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-node protocol method ran")
+
+        for owner, name in self.PER_NODE:
+            monkeypatch.setattr(owner, name, refuse)
+        assert [run() for run in runs] == expected
+
+
 class TestConservationCheck:
     def test_extra_counter_unit_is_caught(self, delivery_leak):
         with pytest.raises(ProtocolError, match="mass conservation violated"):
@@ -287,10 +319,10 @@ def random_kmeans_case(seed, k_max=3):
     return g, obs, cents, orders
 
 
-def held_totals(nodes):
+def held_totals(lock):
     """Per label, the held (*y, z) summed over every node."""
     return [tuple(map(sum, zip(*((*st.held_y, st.held_z) for st in states))))
-            for states in zip(*(node.instances for node in nodes))]
+            for states in zip(*lock.instances)]
 
 
 def run_both_runners(seed, check, log_messages=False):
@@ -316,11 +348,11 @@ class TestIncrementalConservation:
 
         def compared(lock):
             check(lock)
-            assert list(lock.held_sums) == held_totals(lock.nodes)
+            assert list(lock.held_sums) == held_totals(lock)
             assert lock.held == {
                 (j, cl): (*st.held_y, st.held_z)
-                for j, node in enumerate(lock.nodes)
-                for cl, st in enumerate(node.instances)
+                for j, row in enumerate(lock.instances)
+                for cl, st in enumerate(row)
                 if st.held_z or any(st.held_y)}
             checks.append(lock.steps)
 
@@ -328,18 +360,22 @@ class TestIncrementalConservation:
         run_both_runners(seed, lambda run: run())
         assert checks
 
+    @pytest.mark.parametrize("first_step", [1, 2])
     @pytest.mark.parametrize("leak", ["message", "held"])
     @pytest.mark.parametrize("seed", range(4))
     def test_leak_in_emit_is_caught_at_the_first_unbalanced_check(
-            self, monkeypatch, leak, seed):
+            self, monkeypatch, leak, seed, first_step):
         # Every check must raise exactly when a whole-state sum first
         # disagrees with the injected mass, as the whole-state check did.
-        # Each instance that fires gains one counter unit, on the message
-        # it sends or on the held pair it keeps.
+        # From the engine's step ``first_step`` on (step 1 is the round's
+        # opening emit), each instance that fires gains one counter unit,
+        # on the message it sends or on the held pair it keeps.
         emit = sim._LockStep.emit
 
         def leaky(lock, received):
-            states = [lock.nodes[j].instances[cl] for j, cl in received]
+            if lock.steps < first_step:
+                return emit(lock, received)
+            states = [lock.instances[j][cl] for j, cl in received]
             fired_before = [st.tr for st in states]
             sent = len(lock.pending)
             emit(lock, received)
@@ -411,9 +447,9 @@ def corrupt_one_held_pair(step, run):
     def corrupting(lock):
         received = deliver(lock)
         if lock is opened[0] and lock.steps == step:
-            j = next(j for j in range(len(lock.nodes))
+            j = next(j for j in range(len(lock.instances))
                      if all(r != j for r, _ in received))
-            lock.nodes[j].instances[0].held_z += 1
+            lock.instances[j][0].held_z += 1
         return received
 
     with pytest.MonkeyPatch.context() as patch:
@@ -437,7 +473,7 @@ class TestEmitOnlyWhenTriggered:
 
         def checked(lock, received):
             due = [(j, cl) for j, cl in received
-                   if lock.nodes[j].instances[cl].trigger()]
+                   if lock.instances[j][cl].trigger()]
             logged = len(lock.log)
             emit(lock, received)
             assert [(sender, cl) for _, sender, _, cl, _, _
@@ -475,10 +511,11 @@ def reference_stop_rule(g, values, orders):
     recomputed over every node at every step.  Returns (steps, S_t)."""
     n = g.n
     total = [sum(col) for col in zip(*values)]
-    nodes = [NodeKMeansState(j, values[j], orders.targets(j))
-             for j in range(n)]
-    lock = sim._LockStep(nodes, 1, [0] * n, sim._MessageStats(), None, -1)
-    states = [node.instances[0] for node in nodes]
+    targets = [orders.targets(j) for j in range(n)]
+    lock = sim._LockStep(values, targets, 1, [0] * n, sim._MessageStats(),
+                         None, -1)
+    lock.emit(list(lock.held))
+    states = [row[0] for row in lock.instances]
 
     def carries_average(y, z):
         return all(yi * n == ti * z for yi, ti in zip(y, total))
@@ -556,9 +593,15 @@ class TestReportedGuarantees:
         deliver = sim._LockStep.deliver
 
         def deliver_and_chatter(self):
-            # a zero mass changes no held pair and fires no trigger
+            # a zero mass from node 0 to node 1, logged and counted as the
+            # engine logs a send; it changes no held pair and fires no
+            # trigger
             receivers = deliver(self)
-            self.send(0, 1, 0, Mass((0,), 0))
+            step = self.step_base + self.steps
+            self.pending.append((1, 0, Mass((0,), 0)))
+            self.messages += 1
+            self.stats.last_step = step
+            self.log.append((step, 0, 1, 0, 0, (0,)))
             return receivers
 
         monkeypatch.setattr(sim._LockStep, "deliver", deliver_and_chatter)
@@ -573,11 +616,12 @@ def check_verdicts_by_flood(monkeypatch, g, window):
     """Make every window verdict of the following clustering runs on ``g``
     equal the node-by-node flood over every node's snapshot.  Each node's
     snapshot is rebuilt from the held pairs the verdict receives, and the
-    whole per-node list must equal the nodes' own snapshots: the injected
-    ``x_j/1`` under each node's label when a round opens,
-    ``held_snapshot_values`` later.  The verdict must also equal the max/min
-    fold over that list, agreed values in the same (nums, den) form.
-    Returns the list the checked verdicts are appended to."""
+    whole per-node list must equal the nodes' own snapshots, which
+    ``held_snapshot_values`` reads from each node's instances (when a round
+    opens, they hold the injected ``x_j/1`` under each node's label).  The
+    verdict must also equal the max/min fold over that list, agreed values
+    in the same (nums, den) form.  Returns the list the checked verdicts are
+    appended to."""
     in_nbrs = [g.in_neighbors(j) for j in range(g.n)]
     window_verdict = sim._window_verdict
     init = sim._LockStep.__init__
@@ -586,18 +630,15 @@ def check_verdicts_by_flood(monkeypatch, g, window):
     def opened(lock, *args):
         init(lock, *args)
         rounds.append(lock)
-        lock.opening_verdict_due = True
 
     def checked(k, held):
-        lock = rounds[-1]
-        if lock.opening_verdict_due:
-            lock.opening_verdict_due = False
-            values = [[FractionVector(node.x, 1) if cl == node.assignment
-                       else None for cl in range(k)] for node in lock.nodes]
-        else:
-            values = [node.held_snapshot_values() for node in lock.nodes]
+        values = []
+        for j, row in enumerate(rounds[-1].instances):
+            node = NodeKMeansState(j, (), row[0].targets)
+            node.instances = row
+            values.append(node.held_snapshot_values())
         every = [snapshot(v) for v in values]
-        rebuilt = [[None] * k for _ in lock.nodes]
+        rebuilt = [[None] * k for _ in values]
         for (j, cl), (*y, z) in held.items():
             rebuilt[j][cl] = FractionVector(y, z).reduced()
         assert list(map(snapshot, rebuilt)) == every
