@@ -42,41 +42,6 @@ def _centroid_cell(vector: FractionVector) -> str:
     return ";".join(str(f) for f in vector.components())
 
 
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                 start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        name = key.replace("-", "_")
-        if name not in _CONFIG_KEYS and name not in ("seed", "region", "box"):
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[name] = value.strip()
-    return values
-
-
-def _pick(args, file_values: dict, key: str, default, convert):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_values:
-        value = file_values[key]
-        try:
-            return convert(value)
-        except ValueError:
-            raise ValueError(
-                f"config key {key!r}: bad value {value!r}") from None
-    return default
-
-
 def _parse_interval(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split(":")
@@ -87,52 +52,81 @@ def _parse_interval(text: str) -> tuple[int, int]:
         ) from None
 
 
-def _parse_region(text: str) -> tuple[tuple[int, int], ...]:
-    return tuple(_parse_interval(part) for part in text.split(","))
-
-
 def _d_bound_value(text: str):
     return text if text == "auto" else int(text)
 
 
-# flag or config-file key -> (ExperimentConfig field, converter)
-_CONFIG_KEYS = {
-    "n": ("n", int), "k": ("k", int), "dim": ("dim", int),
-    "p": ("extra_edge_probability", float),
-    "graph_seed": ("graph_seed", int),
-    "observation_seed": ("observation_seed", int),
-    "centroid_seed": ("centroid_seed", int),
-    "d_bound": ("d_bound", _d_bound_value),
-    "max_rounds": ("max_rounds", int),
+# dest -> (flag, converter, help).  The dests are also the only keys a
+# ``--config`` file may set; ``box`` and ``region`` stay text until the
+# dimension is known.
+_SETTINGS = {
+    "n": ("--n", int, "number of nodes"),
+    "k": ("--k", int, "number of clusters"),
+    "dim": ("--dim", int, "observation dimension"),
+    "p": ("--p", float, "extra-edge probability"),
+    "box": ("--box", str, "LO:HI applied to every dimension"),
+    "region": ("--region", str, "per-dimension LO:HI list, comma separated"),
+    "seed": ("--seed", int, "base seed; graph/observation/centroid seeds "
+                            "default to seed, seed+1, seed+2"),
+    "graph_seed": ("--graph-seed", int, None),
+    "observation_seed": ("--obs-seed", int, None),
+    "centroid_seed": ("--centroid-seed", int, None),
+    "d_bound": ("--d-bound", _d_bound_value, "diameter upper bound, or 'auto'"),
+    "max_rounds": ("--max-rounds", int, None),
 }
 
 
+def _apply_config_file(args) -> None:
+    """Fill the settings the command line left unset from the ``--config``
+    file, each converted as its flag is; a repeated key's last value wins."""
+    if getattr(args, "config", None) is None:
+        return
+    unset = {dest for dest in _SETTINGS if getattr(args, dest, None) is None}
+    text = Path(args.config).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest not in _SETTINGS:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            converted = _SETTINGS[dest][1](value)
+        except ValueError:
+            raise ValueError(
+                f"config key {dest!r}: bad value {value!r}") from None
+        if dest in unset:
+            setattr(args, dest, converted)
+
+
 def _experiment_config(args, implied: dict[str, int]) -> ExperimentConfig:
-    """The experiment the flags and the config file describe; what neither
-    sets keeps its ``ExperimentConfig`` default.  ``implied`` holds the n, k
-    and dim that input files fix; those are recorded, and a flag or
-    config-file value that differs is an input error."""
-    file_values = _load_config_file(args.config)
-    fields = {}
-    for key, (field, convert) in _CONFIG_KEYS.items():
-        value = _pick(args, file_values, key, None, convert)
-        if value is not None:
-            fields[field] = value
+    """The experiment the settings describe; what none sets keeps its
+    ``ExperimentConfig`` default.  ``implied`` holds the n, k and dim that
+    input files fix; those are recorded, and a setting that differs is an
+    input error."""
+    fields = {dest: getattr(args, dest) for dest in _SETTINGS
+              if getattr(args, dest, None) is not None}
+    base_seed = fields.pop("seed", None)
+    box = fields.pop("box", None)
+    region = fields.pop("region", None)
+    if "p" in fields:
+        fields["extra_edge_probability"] = fields.pop("p")
     for key, value in implied.items():
         given = fields.setdefault(key, value)
         if given != value:
             raise ValueError(f"{key}={given} conflicts with {key}={value} "
                              f"implied by the input files")
-    base_seed = _pick(args, file_values, "seed", None, int)
     if base_seed is not None:
         for offset, field in enumerate(
                 ("graph_seed", "observation_seed", "centroid_seed")):
             fields.setdefault(field, base_seed + offset)
     dim = fields.get("dim", ExperimentConfig.dim)
-    region_text = _pick(args, file_values, "region", None, str)
-    box = _pick(args, file_values, "box", None, str)
-    if region_text is not None:
-        fields["region"] = _parse_region(region_text)
+    if region is not None:
+        fields["region"] = tuple(_parse_interval(part)
+                                 for part in region.split(","))
     elif box is not None:
         fields["region"] = (_parse_interval(box),) * dim
     elif "dim" in fields:
@@ -152,13 +146,12 @@ def _out_dir(args) -> Path:
 
 
 def cmd_gen_graph(args) -> int:
-    file_values = _load_config_file(args.config)
-    n = _pick(args, file_values, "n", None, int)
-    if n is None:
+    if args.n is None:
         raise ValueError("--n is required")
-    p = _pick(args, file_values, "p", 0.05, float)
-    seed = _pick(args, file_values, "seed", 1, int)
-    g = generate_random_digraph(n, p, seed)
+    # the graph ``kmeans`` would generate from the same settings
+    config = _experiment_config(args, {})
+    g = generate_random_digraph(config.n, config.extra_edge_probability,
+                                config.graph_seed)
     diam = diameter(g)
     out = Path(args.out)
     out.write_text(serialize_edge_list(g), encoding="utf-8")
@@ -166,7 +159,9 @@ def cmd_gen_graph(args) -> int:
     # rides in a sidecar
     _write_json(out.with_suffix(out.suffix + ".meta.json"), {
         "schema": f"{SCHEMA_PREFIX}-graph-v1",
-        "config": {"command": "gen-graph", "n": n, "p": p, "seed": seed},
+        "config": {"command": "gen-graph", "n": config.n,
+                   "p": config.extra_edge_probability,
+                   "seed": config.graph_seed},
         "n": g.n, "m": g.m, "diameter": diam,
     })
     print(f"n={g.n} m={g.m} D={diam}")
@@ -202,8 +197,8 @@ def cmd_consensus(args) -> int:
                     for s, a, b, z, y in trace.message_log])
     print(f"S_t={trace.S_t} bound={trace.step_bound} bound_ok={trace.bound_ok}")
     if not trace.bound_ok:
-        print(f"protocol violation: S_t={trace.S_t} exceeds the step bound "
-              f"{trace.step_bound}", file=sys.stderr)
+        print(f"step bound exceeded: S_t={trace.S_t} is above the paper's "
+              f"bound {trace.step_bound}", file=sys.stderr)
         return 1
     return 0
 
@@ -310,8 +305,8 @@ def cmd_kmeans(args) -> int:
                     for s, a, b, cl, z, y in trace.message_log])
     print(f"T={trace.T} C_t={trace.C_t} terminated={trace.terminated}")
     if not trace.bound_ok:
-        print(f"protocol violation: C_t={trace.C_t} exceeds the step bound "
-              f"{trace.step_bound}", file=sys.stderr)
+        print(f"step bound exceeded: C_t={trace.C_t} is above the paper's "
+              f"bound {trace.step_bound}", file=sys.stderr)
         exit_code = 1
     return exit_code
 
@@ -352,7 +347,7 @@ def cmd_sweep(args) -> int:
         print(f"warning: T outside sanity band {result.band} for seeds "
               f"{result.band_violations}", file=sys.stderr)
     if not result.all_bounds_ok:
-        print("protocol violation: step bound exceeded for seeds "
+        print("step bound exceeded: C_t is above the paper's bound for seeds "
               f"{[r['seed'] for r in result.per_seed if not r['bound_ok']]}",
               file=sys.stderr)
         return 1
@@ -369,59 +364,42 @@ def build_parser() -> argparse.ArgumentParser:
                     "digraphs: generators, single runs, and seed sweeps.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p):
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--out-dir", default=".", help="output directory")
+    def add_settings(p, dests):
+        for dest in dests:
+            flag, convert, help_text = _SETTINGS[dest]
+            p.add_argument(flag, dest=dest, type=convert, help=help_text)
+        p.add_argument("--config",
+                       help="key=value file of these settings; flags override")
 
     g = sub.add_parser("gen-graph", help="generate a random digraph edge list")
-    g.add_argument("--n", type=int)
-    g.add_argument("--p", type=float, help="extra-edge probability")
-    g.add_argument("--seed", type=int)
+    add_settings(g, ("n", "p", "seed"))
     g.add_argument("--out", "-o", required=True)
-    g.add_argument("--config")
     g.set_defaults(func=cmd_gen_graph)
 
     c = sub.add_parser("consensus", help="run plain exact averaging")
     c.add_argument("--graph", required=True, help="edge-list file")
     c.add_argument("--values", required=True, help="initial integer vectors")
     c.add_argument("--log-messages", action="store_true")
-    add_common(c)
+    c.add_argument("--out-dir", default=".", help="output directory")
     c.set_defaults(func=cmd_consensus)
-
-    def add_experiment_flags(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--dim", type=int)
-        p.add_argument("--p", type=float)
-        p.add_argument("--box", help="LO:HI applied to every dimension")
-        p.add_argument("--region", help="per-dimension LO:HI list, comma separated")
-        p.add_argument("--seed", type=int,
-                       help="base seed; graph/observation/centroid seeds "
-                            "default to seed, seed+1, seed+2")
-        p.add_argument("--graph-seed", type=int, dest="graph_seed")
-        p.add_argument("--obs-seed", type=int, dest="observation_seed")
-        p.add_argument("--centroid-seed", type=int, dest="centroid_seed")
-        p.add_argument("--d-bound", dest="d_bound", type=_d_bound_value,
-                       help="diameter upper bound, or 'auto'")
-        p.add_argument("--max-rounds", dest="max_rounds", type=int)
 
     km = sub.add_parser("kmeans", help="run one clustering experiment")
     km.add_argument("--graph", help="edge-list file (else generated)")
     km.add_argument("--observations", help="observations file (else generated)")
     km.add_argument("--centroids", help="initial centroids file (else generated)")
-    add_experiment_flags(km)
+    add_settings(km, _SETTINGS)
     km.add_argument("--oracle-check", action="store_true",
                     help="also run the centralized reference and compare")
     km.add_argument("--log-messages", action="store_true")
-    add_common(km)
+    km.add_argument("--out-dir", default=".", help="output directory")
     km.set_defaults(func=cmd_kmeans)
 
     sw = sub.add_parser("sweep", help="run many seeded experiments")
-    add_experiment_flags(sw)
+    add_settings(sw, _SETTINGS)
     sw.add_argument("--seeds", type=int, default=100,
                     help="number of derived-seed runs")
     sw.add_argument("--workers", type=int, default=None)
-    add_common(sw)
+    sw.add_argument("--out-dir", default=".", help="output directory")
     sw.set_defaults(func=cmd_sweep)
     return parser
 
@@ -430,6 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_config_file(args)
         return args.func(args)
     except ProtocolError as exc:
         print(f"protocol violation: {exc}", file=sys.stderr)

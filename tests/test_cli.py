@@ -4,7 +4,8 @@ import json
 import pytest
 
 from quantkmeans.cli import _experiment_config, build_parser, main
-from quantkmeans.graph import parse_edge_list
+from quantkmeans.graph import (generate_random_digraph, parse_edge_list,
+                               serialize_edge_list)
 from quantkmeans.sim import ExperimentConfig
 
 
@@ -252,8 +253,8 @@ class TestStepBoundViolation:
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
         assert summary["bound_ok"] is False
         assert capsys.readouterr().err == (
-            f"protocol violation: C_t={summary['C_t']} exceeds the step "
-            f"bound {summary['step_bound']}\n")
+            f"step bound exceeded: C_t={summary['C_t']} is above the "
+            f"paper's bound {summary['step_bound']}\n")
 
     def test_consensus_reports_and_exits_nonzero(self, tmp_path, capsys,
                                                  over_step_bound):
@@ -266,7 +267,9 @@ class TestStepBoundViolation:
         assert rc == 1
         summary = json.loads(read(tmp_path / "consensus_summary.json"))
         assert summary["bound_ok"] is False
-        assert capsys.readouterr().err.startswith("protocol violation: S_t=")
+        assert capsys.readouterr().err == (
+            f"step bound exceeded: S_t={summary['S_t']} is above the "
+            f"paper's bound {summary['step_bound']}\n")
 
     def test_sweep_reports_and_exits_nonzero(self, tmp_path, capsys,
                                              over_step_bound):
@@ -277,7 +280,8 @@ class TestStepBoundViolation:
         aggregate = json.loads(read(tmp_path / "sweep_aggregate.json"))
         assert aggregate["all_bounds_ok"] is False
         assert capsys.readouterr().err == \
-            "protocol violation: step bound exceeded for seeds [0, 1]\n"
+            "step bound exceeded: C_t is above the paper's bound for " \
+            "seeds [0, 1]\n"
 
 
 class TestGraphInputErrors:
@@ -374,7 +378,8 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["kmeans", "gen-graph"])
-    @pytest.mark.parametrize("key, value", [("n", "abc"), ("p", "x")])
+    @pytest.mark.parametrize("key, value", [("n", "abc"), ("p", "x"),
+                                            ("k", "abc")])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key,
                                      value):
         cfg = tmp_path / "run.cfg"
@@ -389,6 +394,39 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             f"error: config key '{key}': bad value '{value}'\n"
         assert not out.exists()
+
+    def test_gen_graph_builds_the_graph_kmeans_would(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=10\np=0.3\ngraph_seed=5\n", encoding="utf-8")
+        graph = tmp_path / "g.txt"
+        assert main(["gen-graph", "--config", str(cfg), "-o", str(graph)]) == 0
+        assert read(graph) == serialize_edge_list(
+            generate_random_digraph(10, 0.3, 5))
+        meta = json.loads(read(tmp_path / "g.txt.meta.json"))
+        assert meta["config"] == {"command": "gen-graph", "n": 10, "p": 0.3,
+                                  "seed": 5}
+        out = tmp_path / "out"
+        assert main(["kmeans", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        summary = json.loads(read(out / "kmeans_summary.json"))
+        assert summary["config"]["graph_seed"] == 5
+        assert (summary["n"], summary["m"]) == (10, parse_edge_list(
+            read(graph)).m)
+
+    def test_consensus_takes_no_config_file(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["consensus", "--graph", "g.txt", "--values", "v.txt",
+                  "--config", str(tmp_path / "x.cfg"),
+                  "--out-dir", str(tmp_path)])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_key_last_value_wins(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=6\nk=2\nbox=0:5\nn=8\n", encoding="utf-8")
+        assert main(["kmeans", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads(read(tmp_path / "kmeans_summary.json"))
+        assert (summary["config"]["n"], summary["n"]) == (8, 8)
 
     def test_every_documented_key_is_accepted(self, tmp_path):
         cfg = tmp_path / "run.cfg"

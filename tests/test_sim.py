@@ -35,6 +35,17 @@ def ladder_digraph(n):
     return Digraph(n, edges + [(s, i) for i in range(n - 2)])
 
 
+def eight_node_counterexample():
+    """An 8-node digraph (m=28, D=7) and integer values on which both step
+    bounds fail under the canonical orders: the smallest overshoot a local
+    search over edges and values found."""
+    edges = [(0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
+             (2, 4), (2, 5), (2, 6), (3, 2), (3, 4), (3, 6), (4, 6), (5, 1),
+             (5, 2), (5, 3), (5, 4), (5, 6), (6, 3), (6, 4), (7, 0), (7, 1),
+             (7, 2), (7, 4), (7, 5), (7, 6)]
+    return Digraph(8, edges), [(v,) for v in (3, 1, 0, 2, 2, 0, 2, 0)]
+
+
 class TestRunConsensus:
     def test_three_cycle_scalar(self):
         trace = run_consensus(cycle_digraph(3), [(2,), (4,), (6,)])
@@ -94,6 +105,14 @@ class TestRunConsensus:
         assert trace.step_bound == 9464
         assert trace.bound_ok is False
         assert all(e == fv(13, den=14) for e in trace.estimates)
+
+    def test_eight_node_overshoot_is_reported(self):
+        g, values = eight_node_counterexample()
+        trace = run_consensus(g, values)
+        assert trace.S_t == trace.steps == 8357
+        assert trace.step_bound == 6272
+        assert trace.bound_ok is False
+        assert all(e == fv(5, den=4) for e in trace.estimates)
 
     def test_random_batch_matches_brute_average(self):
         rng = random.Random(6)
@@ -673,6 +692,14 @@ class TestRunKMeans:
         assert trace.bound_ok is False
         assert trace.terminated
         assert check_equivalence(trace, lloyd_reference(obs, cents)).passed
+
+    def test_eight_node_overshoot_is_reported(self):
+        g, obs = eight_node_counterexample()
+        trace = run_kmeans(g, obs, [fv(0), fv(2)])
+        assert (trace.T, trace.C_t) == (2, 14338)
+        assert [r.steps for r in trace.rounds] == [0, 7169, 7169]
+        assert trace.step_bound == 12558
+        assert trace.bound_ok is False
 
     def test_empty_cluster_carries_centroid(self):
         g = generate_random_digraph(4, 0.5, seed=3)
