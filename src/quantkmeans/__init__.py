@@ -3,8 +3,7 @@ messaging, exact rational centroids, event-triggered transmissions, and
 distributed stopping, together with a deterministic lock-step simulator."""
 
 from .consensus import ConsensusState, Mass
-from .coordination import (Agreed, DISAGREED, EMPTY, extrema_merge, snapshot,
-                           window_check)
+from .coordination import extrema_merge, snapshot, window_check
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected,
@@ -17,10 +16,10 @@ from .sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
                   run_consensus, run_experiment, run_kmeans, sweep)
 
 __all__ = [
-    "Agreed", "ConsensusState", "ConsensusTrace", "DISAGREED",
-    "Digraph", "EMPTY", "EdgeOrdering", "ExperimentConfig", "Fraction",
-    "FractionVector", "KMeansTrace", "Mass", "NodeKMeansState",
-    "ProtocolError", "SweepResult", "assign_cluster", "assign_edge_orders",
+    "ConsensusState", "ConsensusTrace", "Digraph", "EdgeOrdering",
+    "ExperimentConfig", "Fraction", "FractionVector", "KMeansTrace", "Mass",
+    "NodeKMeansState", "ProtocolError", "SweepResult", "assign_cluster",
+    "assign_edge_orders",
     "brute_average", "check_equivalence", "diameter", "distance_objective",
     "extrema_merge", "finalize_round", "generate_random_digraph",
     "init_round", "is_strongly_connected", "lloyd_reference",

@@ -5,8 +5,9 @@ per cluster label, the ratio of the labeled mass it currently holds; the
 snapshots then flood for exactly D one-hop merge rounds, one extrema message
 per edge and step.  When the running maximum and minimum coincide for a
 label, every contributing mass ratio was identical at snapshot time, which
-certifies that the common value is the exact cluster average.  A label
-nobody contributed to is flagged empty.
+certifies that the common value is the exact cluster average.  The window
+closes only when that holds for every label, and its verdict is then the
+next centroid set, with no value for a label nobody contributed to.
 
 Simulation: after D >= diameter rounds every node holds the global extrema,
 so every node reaches the verdict of one fold over all snapshots, and a
@@ -62,51 +63,21 @@ def extrema_merge(own: Extrema, received: Iterable[Extrema]) -> Extrema:
     return own
 
 
-@dataclass(frozen=True)
-class Agreed:
-    """Window verdict: all contributions matched; ``value`` is the certified
-    exact average for the cluster."""
-    value: FractionVector
-
-
-class _Sentinel:
-    __slots__ = ("_name",)
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-DISAGREED = _Sentinel("DISAGREED")
-EMPTY = _Sentinel("EMPTY")
-
-WindowOutcome = object  # Agreed | DISAGREED | EMPTY
-
-
-def window_check(state: Extrema) -> tuple[WindowOutcome, ...]:
-    """Close a window: per cluster, Agreed when max equals min exactly in
-    every dimension, Empty when nobody contributed, Disagreed otherwise."""
-    outcomes: list[WindowOutcome] = []
-    for entry in state:
-        if entry is None:
-            outcomes.append(EMPTY)
-        elif entry.upper == entry.lower:
-            outcomes.append(Agreed(entry.upper))
-        else:
-            outcomes.append(DISAGREED)
-    return tuple(outcomes)
-
-
-def all_settled(outcomes: Iterable[WindowOutcome]) -> bool:
-    """The inner loop may stop only when no cluster is still disagreeing."""
-    return not any(o is DISAGREED for o in outcomes)
+def window_check(state: Extrema,
+                 ) -> Optional[tuple[Optional[FractionVector], ...]]:
+    """Close a window.  The verdict is ``None`` when max and min differ for
+    some label, so the window does not close; otherwise it holds each
+    label's common value, the certified exact average, or ``None`` for a
+    label nobody contributed to."""
+    if any(e is not None and e.upper != e.lower for e in state):
+        return None
+    return tuple(None if e is None else e.upper for e in state)
 
 
 def flood_verdict(in_nbrs: Sequence[Sequence[int]],
                   snapshots: Sequence[Extrema],
-                  rounds: int) -> tuple[WindowOutcome, ...]:
+                  rounds: int,
+                  ) -> Optional[tuple[Optional[FractionVector], ...]]:
     """Reference for one stopping window as the protocol runs it: every node
     merges the extrema of its in-neighbors (``in_nbrs[j]``) for ``rounds``
     synchronous rounds, then closes the window on its own state.  Returns

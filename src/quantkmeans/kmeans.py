@@ -4,8 +4,8 @@ Each round every node assigns its observation to the nearest centroid under
 exact squared distances, injects its observation as initial mass into the
 averaging instance labeled with its cluster (and an empty mass into every
 other label), and adopts the certified cluster averages as the next centroid
-set.  The run terminates when two consecutive calculated centroid sets are
-exactly equal.
+set, where an empty cluster keeps its centroid.  The run terminates when two
+consecutive calculated centroid sets are exactly equal.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .consensus import ConsensusState, Mass
-from .coordination import Agreed, DISAGREED, EMPTY, WindowOutcome
 from .exactmath import FractionVector, sq_dist_exact
 
 
@@ -51,29 +50,16 @@ def init_round(x: Sequence[int], assigned: int, k: int,
     return [(x, 1) if cl == assigned else (zero, 0) for cl in range(k)]
 
 
-def finalize_round(outcomes: Sequence[WindowOutcome],
+def finalize_round(verdict: Sequence[Optional[FractionVector]],
                    previous: tuple[FractionVector, ...],
                    ) -> tuple[tuple[FractionVector, ...], bool]:
-    """Adopt the certified averages as the next centroids; returns them and
-    whether they equal ``previous``.
-
-    Empty clusters carry their previous centroid forward.  A Disagreed
-    outcome means the stopping mechanism fired early, which the protocol
-    rules out; it is reported loudly rather than patched over.
-    """
-    if len(outcomes) != len(previous):
-        raise ValueError("outcome count does not match the centroid count")
-    new = []
-    for cl, outcome in enumerate(outcomes):
-        if outcome is DISAGREED:
-            raise RuntimeError(f"stopping fired with cluster {cl} still disagreeing")
-        if outcome is EMPTY:
-            new.append(previous[cl])
-        elif isinstance(outcome, Agreed):
-            new.append(outcome.value)
-        else:
-            raise TypeError(f"unknown window outcome {outcome!r}")
-    updated = tuple(new)
+    """Adopt a closed window's verdict, the certified averages, as the next
+    centroids; returns them and whether they equal ``previous``.  A label
+    without a value (an empty cluster) carries its previous centroid
+    forward."""
+    if len(verdict) != len(previous):
+        raise ValueError("verdict length does not match the centroid count")
+    updated = tuple(p if v is None else v for v, p in zip(verdict, previous))
     return updated, updated == previous
 
 

@@ -14,12 +14,13 @@ fields, with no per-message method call; the per-node methods of
 hold the engine to them.  Plain averaging is a one-label round that stops
 once every estimate is exact and every remaining mass carries the average; a
 clustering round stops when a stopping window closes with every cluster
-agreed.  Mass conservation is checked on every step of plain averaging and
-at every window boundary of a clustering round, and a violation fails
-loudly.  Those checks and the stop rule re-read only the (node, label) pairs
-a step touched, each window's verdict reads the engine's held pairs (the
-injected ones at the opening, later the ones the check has just verified),
-and a whole-state check closes every round.  The runners report whether the
+agreed, and that window's verdict (``None`` while any cluster disagrees) is
+the next centroid set.  Mass conservation is checked on every step of plain
+averaging and at every window boundary of a clustering round, and a
+violation fails loudly.  Those checks and the stop rule re-read only the
+(node, label) pairs a step touched, each window's verdict reads the engine's
+held pairs (the injected ones at the opening, later the ones the check has
+just verified), and a whole-state check closes every round.  The runners report whether the
 run kept the protocol's step bound (``bound_ok``; only a run far past it
 raises) and, for clustering, whether the bus stayed silent from the flag
 step on (``silent_after_stop``).
@@ -34,7 +35,6 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from .consensus import ConsensusState, Mass
-from .coordination import Agreed, DISAGREED, EMPTY, all_settled
 # bound here only because the benchmark's tracer wraps these names in ``sim``
 from .coordination import extrema_merge, snapshot, window_check  # noqa: F401
 from .exactmath import Fraction, FractionVector, sq_dist_exact
@@ -72,6 +72,21 @@ def _check_inputs(n: int, k: int, max_rounds: int, dim: int = 0,
     if max_rounds < 1:
         raise ValueError("max_rounds must be a positive integer")
     return dim
+
+
+def _edge_targets(g: Digraph, orders: EdgeOrdering | None,
+                  ) -> list[tuple[int, ...]]:
+    """Each node's round-robin target list under ``orders`` (the canonical
+    orders when None), which must order exactly the node's out-neighbors
+    in ``g``."""
+    if orders is None:
+        orders = assign_edge_orders(g)
+    targets = [orders.targets(j) if j in orders.orders else ()
+               for j in range(g.n)]
+    if any(sorted(t) != list(g.out_neighbors(j))
+           for j, t in enumerate(targets)):
+        raise ValueError("edge orders do not match the graph")
+    return targets
 
 
 # A run past its step bound reports ``bound_ok=False``; only a runaway this
@@ -277,13 +292,11 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     n = g.n
     values = [tuple(v) for v in initial]
     dim = _check_inputs(n, 1, 1, vectors=values, g=g)
-    if orders is None:
-        orders = assign_edge_orders(g)
+    targets = _edge_targets(g, orders)
 
     total_y = tuple(sum(v[i] for v in values) for i in range(dim))
     average = FractionVector(total_y, n)
     log: Optional[list] = [] if log_messages else None
-    targets = [orders.targets(j) for j in range(n)]
     # Plain averaging is a round with a single label; its first step is 0.
     lock = _LockStep(values, targets, 1, [0] * n, _MessageStats(), log, -1)
     lock.emit(list(lock.held))
@@ -411,19 +424,19 @@ def _window_verdict(k: int, held: dict[tuple[int, int], tuple[int, ...]]):
     the nonzero held ``(*y, z)`` pairs by (node, label) at its opening.  With
     D at least the diameter the flood leaves every node holding the global
     extrema, and a label's maximum equals its minimum exactly when all its
-    held ratios are equal.  So each label is empty when no pair has it,
-    agreed on its first pair's reduced ratio (the fold's form) when every
-    other ratio equals it by cross-multiplication, and disagreed otherwise
-    (``flood_verdict`` in ``coordination`` is the node-by-node reference)."""
-    verdict: list = [EMPTY] * k
+    held ratios are equal.  So the verdict is ``None`` at the first pair
+    whose ratio differs, by cross-multiplication, from its label's first
+    pair's; otherwise it is each label's first reduced ratio (the fold's
+    form), ``None`` for a label no pair has (``flood_verdict`` in
+    ``coordination`` is the node-by-node reference)."""
+    verdict: list[Optional[FractionVector]] = [None] * k
     for (_, cl), pair in held.items():
         seen = verdict[cl]
-        if seen is EMPTY:
-            verdict[cl] = Agreed(FractionVector(pair[:-1], pair[-1]).reduced())
-        elif seen is not DISAGREED and any(
-                y * seen.value.den != v * pair[-1]
-                for y, v in zip(pair, seen.value.nums)):
-            verdict[cl] = DISAGREED
+        if seen is None:
+            verdict[cl] = FractionVector(pair[:-1], pair[-1]).reduced()
+        elif any(y * seen.den != v * pair[-1]
+                 for y, v in zip(pair, seen.nums)):
+            return None
     return tuple(verdict)
 
 
@@ -458,7 +471,7 @@ def _run_round(x: Sequence[tuple[int, ...]],
         merges += 1
         if merges == window:
             lock.check_conservation()
-            if all_settled(verdict):
+            if verdict is not None:
                 lock.check_conservation_scan()
                 # m extrema messages on every step but the closing one
                 return (lock.steps, lock.messages,
@@ -469,7 +482,7 @@ def _run_round(x: Sequence[tuple[int, ...]],
 
 def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
                initial_centroids: Sequence[FractionVector],
-               d_bound: int | str | None = None,
+               d_bound: int | str = "auto",
                max_rounds: int = 100,
                orders: EdgeOrdering | None = None,
                log_messages: bool = False) -> KMeansTrace:
@@ -481,18 +494,16 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     dim = _check_inputs(n, k, max_rounds, vectors=x, g=g)
     if any(c.dim != dim for c in initial_centroids):
         raise ValueError("centroid dimension does not match the observations")
+    if d_bound != "auto" and (isinstance(d_bound, bool)
+                              or not isinstance(d_bound, int)):
+        raise ValueError(
+            f"d_bound must be 'auto' or an integer, not {d_bound!r}")
     diam = diameter(g)
-    if d_bound is None or d_bound == "auto":
-        window = diam
-    else:
-        window = int(d_bound)
-        if window < diam:
-            raise ValueError(
-                f"diameter bound {window} is below the true diameter {diam}")
-    if orders is None:
-        orders = assign_edge_orders(g)
-
-    targets = [orders.targets(j) for j in range(n)]
+    window = diam if d_bound == "auto" else d_bound
+    if window < diam:
+        raise ValueError(
+            f"diameter bound {window} is below the true diameter {diam}")
+    targets = _edge_targets(g, orders)
     current = tuple(initial_centroids)
 
     log: Optional[list] = [] if log_messages else None
@@ -506,10 +517,10 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     T = 0
     while T < max_rounds and not terminated:
         T += 1
-        steps, mass_msgs, ext_msgs, outcomes = _run_round(
+        steps, mass_msgs, ext_msgs, verdict = _run_round(
             x, targets, k, assignments, window, g.m, per_round_cap, stats,
             log, C_t)
-        current, unchanged = finalize_round(outcomes, current)
+        current, unchanged = finalize_round(verdict, current)
         assignments = [assign_cluster(v, current) for v in x]
         rounds.append(RoundRecord(T, steps, mass_msgs, ext_msgs, current,
                                   distance_objective(x, assignments, current)))

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from quantkmeans import sim
-from quantkmeans.coordination import Agreed
 from quantkmeans.graph import Digraph
 
 
@@ -17,9 +16,9 @@ def complete_digraph(n: int) -> Digraph:
 
 
 def agreed_pairs(verdict):
-    """The (nums, den) form of every agreed value in a window verdict."""
-    return [(o.value.nums, o.value.den) for o in verdict
-            if isinstance(o, Agreed)]
+    """The (nums, den) form of every certified value in a window verdict;
+    a window that does not close certifies none."""
+    return [(v.nums, v.den) for v in verdict or () if v is not None]
 
 
 @pytest.fixture

@@ -4,8 +4,7 @@ import pytest
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState
-from quantkmeans.coordination import (Agreed, DISAGREED, EMPTY, all_settled,
-                                      extrema_merge, flood_verdict, snapshot,
+from quantkmeans.coordination import (extrema_merge, flood_verdict, snapshot,
                                       window_check)
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
@@ -71,24 +70,16 @@ class TestMerge:
 class TestWindowCheck:
     def test_agreed(self):
         state = snapshot([fv(3, 4)])
-        outcomes = window_check(state)
-        assert isinstance(outcomes[0], Agreed)
-        assert outcomes[0].value == fv(3, 4)
+        assert window_check(state) == (fv(3, 4),)
 
     def test_disagreed_on_any_dimension(self):
         own = snapshot([fv(3, 4)])
         merged = extrema_merge(own, [snapshot([fv(3, 7, den=2)])])
         # second dimension differs: 4 vs 7/2
-        assert window_check(merged)[0] is DISAGREED
+        assert window_check(merged) is None
 
     def test_empty(self):
-        assert window_check(snapshot([None]))[0] is EMPTY
-
-    def test_all_settled(self):
-        agreed = window_check(snapshot([fv(1), None]))
-        assert all_settled(agreed)
-        merged = extrema_merge(snapshot([fv(1)]), [snapshot([fv(2)])])
-        assert not all_settled(window_check(merged))
+        assert window_check(snapshot([None])) == (None,)
 
 
 class TestFloodedExtremaMatchDirectComputation:
@@ -188,22 +179,22 @@ class TestFoldMatchesReferenceFlood:
             assert fold_verdict(snapshots) == expected
             assert flood_verdict(in_nbrs, snapshots,
                                  diameter(g) + extra_rounds) == expected
-            for outcome in expected:
-                if isinstance(outcome, Agreed):
-                    seen["agreed"] += 1
-                else:
-                    seen["disagreed" if outcome is DISAGREED else "empty"] += 1
+            if expected is None:
+                seen["disagreed"] += 1
+            else:
+                for value in expected:
+                    seen["empty" if value is None else "agreed"] += 1
         assert min(seen.values()) > 0, seen
 
     @pytest.mark.parametrize("columns, expected", [
         # 2/4, 1/2 and 3/6 are one ratio built from different pairs
         ([[fv(2, den=4), fv(1, den=2), None, fv(3, den=6)]],
-         (Agreed(fv(1, den=2)),)),
-        ([[None] * 4, [None] * 4], (EMPTY, EMPTY)),
+         (fv(1, den=2),)),
+        ([[None] * 4, [None] * 4], (None, None)),
         # only the last holder differs, and only in its second dimension
         ([[fv(3, -1, den=2), fv(6, -2, den=4), None, fv(3, -3, den=2)],
           [fv(5), None, None, fv(5)]],
-         (DISAGREED, Agreed(fv(5)))),
+         None),
     ])
     def test_fixed_cases(self, columns, expected):
         g = cycle_digraph(4)
@@ -232,7 +223,7 @@ class TestFoldMatchesReferenceFlood:
         verdict = sim._window_verdict(1, {(j, 0): (*y, z) for j, (y, z)
                                           in enumerate(pairs) if z})
         assert verdict == fold_verdict(snapshots) \
-            == (Agreed(fv(3, -2, den=2)),)
+            == (fv(3, -2, den=2),)
         assert agreed_pairs(verdict) == agreed_pairs(fold_verdict(snapshots)) \
             == [((3, -2), 2)]
 

@@ -3,7 +3,6 @@ import fractions
 import pytest
 from hypothesis import given, strategies as st
 
-from quantkmeans.coordination import Agreed, DISAGREED, EMPTY
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.kmeans import (assign_cluster, finalize_round,
                                 init_round, parse_centroids,
@@ -67,30 +66,29 @@ class TestInitRound:
 class TestFinalize:
     def test_unchanged_centroids_terminate(self):
         previous = (fv(3, 4), fv(1, 1))
-        outcomes = (Agreed(fv(3, 4)), Agreed(fv(1, 1)))
-        updated, done = finalize_round(outcomes, previous)
+        updated, done = finalize_round((fv(3, 4), fv(1, 1)), previous)
         assert done
         assert updated == previous
 
     def test_changed_centroid_continues(self):
         previous = (fv(3, 4),)
-        updated, done = finalize_round((Agreed(fv(7, 8, den=2)),), previous)
+        updated, done = finalize_round((fv(7, 8, den=2),), previous)
         assert not done
         assert updated[0] == fv(7, 8, den=2)
 
     def test_empty_cluster_carries_previous(self):
         previous = (fv(1), fv(9, 9))
-        updated, done = finalize_round((Agreed(fv(1)), EMPTY), previous)
+        updated, done = finalize_round((fv(1), None), previous)
         assert updated[1] == fv(9, 9)
         assert done
 
-    def test_disagreed_is_a_protocol_violation(self):
-        with pytest.raises(RuntimeError):
-            finalize_round((DISAGREED,), (fv(0),))
+    def test_verdict_and_centroids_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            finalize_round((fv(1),), (fv(1), fv(2)))
 
     def test_value_based_termination(self):
         previous = (fv(4),)
-        updated, done = finalize_round((Agreed(fv(12, den=3)),), previous)
+        updated, done = finalize_round((fv(12, den=3),), previous)
         assert done
 
 

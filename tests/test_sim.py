@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState, Mass
-from quantkmeans.coordination import (all_settled, extrema_merge,
-                                      flood_verdict, snapshot, window_check)
+from quantkmeans.coordination import (extrema_merge, flood_verdict, snapshot,
+                                      window_check)
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
                                generate_random_digraph)
@@ -229,7 +229,7 @@ def reference_kmeans(g, obs, cents, orders):
             pending = []
             merges += 1
             if merges == window:
-                if all_settled(verdict):
+                if verdict is not None:
                     break
                 verdict = fold([node.held_snapshot_values()
                                 for node in nodes])
@@ -674,6 +674,23 @@ def check_verdicts_by_flood(monkeypatch, g, window):
     return verdicts
 
 
+@pytest.mark.parametrize("other", [
+    generate_random_digraph(8, 0.3, 2),     # same nodes, other edges
+    generate_random_digraph(5, 0.3, 1),     # fewer nodes
+], ids=["other-graph", "smaller-graph"])
+@pytest.mark.parametrize("runner", ["consensus", "kmeans"])
+def test_edge_orders_of_another_graph_rejected(other, runner):
+    g = generate_random_digraph(8, 0.3, 1)
+    obs = [(i % 3, i) for i in range(8)]
+    orders = assign_edge_orders(other)
+    with pytest.raises(ValueError,
+                       match="^edge orders do not match the graph$"):
+        if runner == "consensus":
+            run_consensus(g, obs, orders=orders)
+        else:
+            run_kmeans(g, obs, [fv(0, 0), fv(2, 7)], orders=orders)
+
+
 class TestRunKMeans:
     def test_single_cluster_needs_two_calculations(self):
         g = generate_random_digraph(5, 0.2, seed=8)
@@ -765,6 +782,14 @@ class TestRunKMeans:
         g = cycle_digraph(6)     # diameter 5
         with pytest.raises(ValueError, match="below the true diameter"):
             run_kmeans(g, [(i,) for i in range(6)], [fv(0)], d_bound=2)
+
+    @pytest.mark.parametrize("d_bound", [None, 3.7, "3", True])
+    def test_d_bound_must_be_auto_or_an_integer(self, d_bound):
+        g = cycle_digraph(4)     # diameter 3
+        with pytest.raises(ValueError) as exc:
+            run_kmeans(g, [(i,) for i in range(4)], [fv(0)], d_bound=d_bound)
+        assert str(exc.value) \
+            == f"d_bound must be 'auto' or an integer, not {d_bound!r}"
 
     def test_d_bound_above_diameter_is_allowed(self):
         g = cycle_digraph(5)

@@ -1,6 +1,6 @@
 """The package promises to run on the standard library alone: every import
 in ``src/quantkmeans`` must name a standard-library module or the package
-itself."""
+itself.  Its star import must also resolve every exported name."""
 
 import ast
 import sys
@@ -25,3 +25,12 @@ def test_every_import_is_standard_library_or_the_package():
                         if name.partition(".")[0] not in
                         sys.stdlib_module_names | {"quantkmeans"}]
     assert foreign == []
+
+
+def test_star_import_resolves_every_exported_name():
+    import quantkmeans
+
+    namespace: dict = {}
+    exec("from quantkmeans import *", namespace)
+    assert [name for name in quantkmeans.__all__
+            if name not in namespace] == []
