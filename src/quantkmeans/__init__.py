@@ -2,28 +2,24 @@
 messaging, exact rational centroids, event-triggered transmissions, and
 distributed stopping, together with a deterministic lock-step simulator."""
 
-from .consensus import ConsensusState, Mass
-from .coordination import extrema_merge, snapshot, window_check
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
                     generate_random_digraph, is_strongly_connected,
                     parse_edge_list, serialize_edge_list)
-from .kmeans import (NodeKMeansState, assign_cluster, finalize_round,
-                     init_round, parse_centroids, parse_observations)
+from .kmeans import (assign_cluster, finalize_round, parse_centroids,
+                     parse_observations)
 from .oracle import brute_average, check_equivalence, lloyd_reference
 from .sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
                   ProtocolError, SweepResult, distance_objective,
                   run_consensus, run_experiment, run_kmeans, sweep)
 
 __all__ = [
-    "ConsensusState", "ConsensusTrace", "Digraph", "EdgeOrdering",
-    "ExperimentConfig", "Fraction", "FractionVector", "KMeansTrace", "Mass",
-    "NodeKMeansState", "ProtocolError", "SweepResult", "assign_cluster",
-    "assign_edge_orders",
-    "brute_average", "check_equivalence", "diameter", "distance_objective",
-    "extrema_merge", "finalize_round", "generate_random_digraph",
-    "init_round", "is_strongly_connected", "lloyd_reference",
-    "parse_centroids", "parse_edge_list", "parse_observations",
-    "run_consensus", "run_experiment", "run_kmeans", "serialize_edge_list",
-    "snapshot", "sq_dist_exact", "sweep", "window_check",
+    "ConsensusTrace", "Digraph", "EdgeOrdering", "ExperimentConfig",
+    "Fraction", "FractionVector", "KMeansTrace", "ProtocolError",
+    "SweepResult", "assign_cluster", "assign_edge_orders", "brute_average",
+    "check_equivalence", "diameter", "distance_objective", "finalize_round",
+    "generate_random_digraph", "is_strongly_connected", "lloyd_reference",
+    "parse_centroids", "parse_observations", "run_consensus",
+    "run_experiment", "run_kmeans", "serialize_edge_list", "sq_dist_exact",
+    "sweep",
 ]

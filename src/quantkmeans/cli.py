@@ -243,7 +243,6 @@ def cmd_kmeans(args) -> int:
         "graph_file": args.graph, "observations_file": args.observations,
         "centroids_file": args.centroids,
     })
-    trace.config = config_dict
     out = _out_dir(args)
 
     summary = {

@@ -83,11 +83,6 @@ class ConsensusState:
         self.held_y = tuple(map(add, self.held_y, y))
         self.held_z += z
 
-    def absorb(self, incoming: Iterable[Mass]) -> None:
-        """Sum arrived masses into the held pair; empty input is a no-op."""
-        for mass in incoming:
-            self.absorb_one(mass.y, mass.z)
-
     def trigger(self) -> bool:
         """Event-trigger decision over (held z, held y) vs (stored z, stored y).
 
@@ -127,9 +122,10 @@ class ConsensusState:
         return message
 
     def node_step(self, incoming: Iterable[Mass]) -> Optional[tuple[int, Mass]]:
-        """One synchronous step: absorb arrivals, then transmit if triggered.
-        At most one message leaves per step."""
-        self.absorb(incoming)
+        """One synchronous step: sum the arrived masses into the held pair,
+        then transmit if triggered.  At most one message leaves per step."""
+        for y, z in incoming:
+            self.absorb_one(y, z)
         if self.trigger():
             return self.emit()
         return None

@@ -49,14 +49,11 @@ class FractionVector:
     def dim(self) -> int:
         return len(self.nums)
 
-    def component(self, i: int) -> Fraction:
-        return Fraction(self.nums[i], self.den)
-
     def components(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.den) for v in self.nums)
 
     def reduced(self) -> "FractionVector":
-        g = gcd(self.den, *self.nums) if self.nums else self.den
+        g = gcd(self.den, *self.nums)
         if g <= 1:
             return self
         return FractionVector(tuple(v // g for v in self.nums), self.den // g)

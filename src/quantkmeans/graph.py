@@ -50,9 +50,6 @@ class Digraph:
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         return self._out[j]
 
-    def out_degree(self, j: int) -> int:
-        return len(self._out[j])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
@@ -88,9 +85,6 @@ class EdgeOrdering:
             targets[j] = tuple(slots)
         self._targets = targets
 
-    def order_of(self, j: int, neighbor: int) -> int:
-        return self.orders[j][neighbor]
-
     def targets(self, j: int) -> tuple[int, ...]:
         return self._targets[j]
 
@@ -111,8 +105,6 @@ def _bfs_distances(g: Digraph, source: int, reverse: bool = False) -> list[int]:
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    if g.n == 1:
-        return True
     forward = _bfs_distances(g, 0)
     if min(forward) < 0:
         return False

@@ -39,17 +39,6 @@ def assign_cluster(x: Sequence[int], centroids: Sequence[FractionVector],
     return best
 
 
-def init_round(x: Sequence[int], assigned: int, k: int,
-               ) -> list[tuple[tuple[int, ...], int]]:
-    """Initial (value mass, counter mass) per label: the node's observation
-    with a unit counter under its own label, an empty mass elsewhere."""
-    if not (0 <= assigned < k):
-        raise ValueError(f"cluster index {assigned} out of range for k={k}")
-    x = tuple(x)
-    zero = (0,) * len(x)
-    return [(x, 1) if cl == assigned else (zero, 0) for cl in range(k)]
-
-
 def finalize_round(verdict: Sequence[Optional[FractionVector]],
                    previous: tuple[FractionVector, ...],
                    ) -> tuple[tuple[FractionVector, ...], bool]:
@@ -67,10 +56,9 @@ class NodeKMeansState:
     """One node's full clustering state: its observation, current assignment
     and the k labeled averaging instances of the running round."""
 
-    __slots__ = ("node_id", "x", "targets", "assignment", "instances")
+    __slots__ = ("x", "targets", "assignment", "instances")
 
-    def __init__(self, node_id: int, x: Sequence[int], targets: tuple[int, ...]):
-        self.node_id = node_id
+    def __init__(self, x: Sequence[int], targets: tuple[int, ...]):
         self.x = tuple(x)
         self.targets = targets
         self.assignment: Optional[int] = None
@@ -80,16 +68,22 @@ class NodeKMeansState:
                     ) -> list[tuple[int, int, Mass]]:
         """Take ``assignment``, the label of the centroid nearest to the
         observation among the round's ``k`` (``assign_cluster``), inject
-        labeled masses, and return the initial transmissions (cluster label,
-        destination, mass).  The injected mass ``x/1`` is what the node holds
-        when the round's first window opens; it leaves on the initial
-        transmission immediately after.  The engine (``sim._LockStep``)
-        opens a round the same way on instances it builds itself; the tests
-        hold it to this."""
+        labeled masses (the observation with a unit counter under its own
+        label, an empty mass elsewhere), and return the initial transmissions
+        (cluster label, destination, mass).  The injected mass ``x/1`` is
+        what the node holds when the round's first window opens; it leaves
+        on the initial transmission immediately after.  The engine
+        (``sim._LockStep``) opens a round the same way on instances it
+        builds itself; the tests hold it to this."""
+        if not (0 <= assignment < k):
+            raise ValueError(
+                f"cluster index {assignment} out of range for k={k}")
         self.assignment = assignment
         messages: list[tuple[int, int, Mass]] = []
         self.instances = []
-        for cl, (y0, z0) in enumerate(init_round(self.x, self.assignment, k)):
+        zero = (0,) * len(self.x)
+        for cl in range(k):
+            y0, z0 = (self.x, 1) if cl == assignment else (zero, 0)
             state, initial = ConsensusState.create(y0, z0, self.targets)
             self.instances.append(state)
             if initial is not None:
@@ -144,10 +138,6 @@ def parse_observations(text: str) -> list[tuple[int, ...]]:
     return rows
 
 
-def serialize_observations(observations: Sequence[Sequence[int]]) -> str:
-    return "\n".join(" ".join(str(v) for v in row) for row in observations) + "\n"
-
-
 def _parse_coordinate(token: str) -> tuple[int, int]:
     """``num/den`` or a plain integer as ``(num, den)``.  Only ``int`` reads
     the halves, so decimals, exponents and empty halves are rejected."""
@@ -179,7 +169,3 @@ def parse_centroids(text: str) -> list[FractionVector]:
     if not rows:
         raise ValueError("no centroids found")
     return rows
-
-
-def serialize_centroids(centroids: Iterable[FractionVector]) -> str:
-    return "\n".join(str(c) for c in centroids) + "\n"

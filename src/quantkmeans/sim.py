@@ -29,7 +29,7 @@ step on (``silent_after_stop``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import lcm
 from operator import add, sub
 from typing import Optional, Sequence
@@ -72,6 +72,15 @@ def _check_inputs(n: int, k: int, max_rounds: int, dim: int = 0,
     if max_rounds < 1:
         raise ValueError("max_rounds must be a positive integer")
     return dim
+
+
+def _check_d_bound(d_bound) -> None:
+    """``d_bound`` is ``"auto"`` (the diameter) or an ``int`` that is not a
+    ``bool``."""
+    if d_bound != "auto" and (isinstance(d_bound, bool)
+                              or not isinstance(d_bound, int)):
+        raise ValueError(
+            f"d_bound must be 'auto' or an integer, not {d_bound!r}")
 
 
 def _edge_targets(g: Digraph, orders: EdgeOrdering | None,
@@ -494,10 +503,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     dim = _check_inputs(n, k, max_rounds, vectors=x, g=g)
     if any(c.dim != dim for c in initial_centroids):
         raise ValueError("centroid dimension does not match the observations")
-    if d_bound != "auto" and (isinstance(d_bound, bool)
-                              or not isinstance(d_bound, int)):
-        raise ValueError(
-            f"d_bound must be 'auto' or an integer, not {d_bound!r}")
+    _check_d_bound(d_bound)
     diam = diameter(g)
     window = diam if d_bound == "auto" else d_bound
     if window < diam:
@@ -561,18 +567,14 @@ class ExperimentConfig:
     max_rounds: int = 100
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n, "k": self.k, "dim": self.dim,
-            "region": [list(r) for r in self.region],
-            "extra_edge_probability": self.extra_edge_probability,
-            "graph_seed": self.graph_seed,
-            "observation_seed": self.observation_seed,
-            "centroid_seed": self.centroid_seed,
-            "d_bound": self.d_bound, "max_rounds": self.max_rounds,
-        }
+        """Every field by name, in declaration order, ``region`` as lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["region"] = [list(r) for r in self.region]
+        return out
 
     def validate(self) -> None:
         _check_inputs(self.n, self.k, self.max_rounds, self.dim)
+        _check_d_bound(self.d_bound)
         if len(self.region) != self.dim:
             raise ValueError("one region interval per dimension is required")
         for lo, hi in self.region:

@@ -45,23 +45,26 @@ class TestInit:
 class TestAbsorb:
     def test_single_arrival(self):
         state = make_state(((0,), 0), ((0,), 0))
-        state.absorb([Mass((5,), 1)])
+        state.absorb_one((5,), 1)
         assert (state.held_y, state.held_z) == ((5,), 1)
 
     def test_multiple_arrivals_sum_componentwise(self):
-        state = make_state(((2,), 1), ((0,), 0))
-        state.absorb([Mass((3,), 1), Mass((4,), 2)])
+        # the stored counter 9 keeps the trigger from emitting the sum
+        state = make_state(((2,), 1), ((0,), 9))
+        assert state.node_step([Mass((3,), 1), Mass((4,), 2)]) is None
         assert (state.held_y, state.held_z) == ((9,), 4)
 
     def test_empty_arrivals_leave_state_unchanged(self):
         state = make_state(((2,), 1), ((9,), 3))
-        state.absorb([])
+        assert state.node_step([]) is None
         assert (state.held_y, state.held_z) == ((2,), 1)
 
     def test_dimension_mismatch(self):
         state = make_state(((0, 0), 0), ((0, 0), 0))
-        with pytest.raises(ValueError):
-            state.absorb([Mass((1,), 1)])
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            state.absorb_one((1,), 1)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            state.node_step([Mass((1,), 1)])
 
 
 class TestTrigger:

@@ -112,8 +112,8 @@ class TestFloodedExtremaMatchDirectComputation:
                 hi, lo = max(coords), min(coords)
                 for state in states:
                     entry = state[0]
-                    up = entry.upper.component(dim)
-                    down = entry.lower.component(dim)
+                    up = entry.upper.components()[dim]
+                    down = entry.lower.components()[dim]
                     assert fractions.Fraction(up.numerator, up.denominator) == hi
                     assert fractions.Fraction(down.numerator, down.denominator) == lo
 
@@ -214,7 +214,7 @@ class TestFoldMatchesReferenceFlood:
         pairs = [((6, -4), 4), ((9, -6), 6), ((3, -2), 2), ((0, 0), 0)]
         nodes = []
         for y, z in pairs:
-            node = NodeKMeansState(len(nodes), (0, 0), (0,))
+            node = NodeKMeansState((0, 0), (0,))
             state = ConsensusState(2, (0,))
             state.held_y, state.held_z = y, z
             node.instances = [state]

@@ -99,8 +99,8 @@ class TestFractionVector:
 
     def test_components(self):
         v = FractionVector((9, 12), 3)
-        assert v.component(0) == Fraction(3, 1)
-        assert str(v.component(0)) == "3/1"
+        assert v.components()[0] == Fraction(3, 1)
+        assert str(v.components()[0]) == "3/1"
         assert str(v) == "3/1 4/1"
 
     def test_elementwise_extrema(self):
@@ -126,8 +126,8 @@ class TestFractionVector:
         for i in range(len(pairs)):
             fa = fractions.Fraction(a.nums[i], a.den)
             fb = fractions.Fraction(b.nums[i], b.den)
-            assert as_std(top.component(i)) == max(fa, fb)
-            assert as_std(bot.component(i)) == min(fa, fb)
+            assert as_std(top.components()[i]) == max(fa, fb)
+            assert as_std(bot.components()[i]) == min(fa, fb)
 
 
 class TestSquaredDistance:

@@ -3,10 +3,11 @@ import fractions
 import pytest
 from hypothesis import given, strategies as st
 
+from quantkmeans.consensus import Mass
 from quantkmeans.exactmath import FractionVector
-from quantkmeans.kmeans import (assign_cluster, finalize_round,
-                                init_round, parse_centroids,
-                                parse_observations, serialize_centroids, serialize_observations)
+from quantkmeans.kmeans import (NodeKMeansState, assign_cluster,
+                                finalize_round, parse_centroids,
+                                parse_observations)
 
 
 def fv(*nums, den=1):
@@ -45,22 +46,38 @@ class TestAssign:
         assert assign_cluster(x, centroids, tie_break) == expected
 
 
+def injected(node):
+    """Each instance's (value, counter) mass after ``begin_round``: the
+    member's leaves on the initial transmission and stays stored; the
+    others hold and store nothing."""
+    assert all(st.held_z == 0 and not any(st.held_y) for st in node.instances)
+    return [(st.stored_y, st.stored_z) for st in node.instances]
+
+
 class TestInitRound:
     def test_member_label_gets_the_observation(self):
-        masses = init_round((5,), 1, 3)
-        assert masses == [((0,), 0), ((5,), 1), ((0,), 0)]
+        node = NodeKMeansState((5,), (7, 8))
+        assert node.begin_round(3, 1) == [(1, 7, Mass((5,), 1))]
+        assert injected(node) == [((0,), 0), ((5,), 1), ((0,), 0)]
 
     def test_single_cluster(self):
-        assert init_round((1, 2), 0, 1) == [((1, 2), 1)]
+        node = NodeKMeansState((1, 2), (4,))
+        assert node.begin_round(1, 0) == [(0, 4, Mass((1, 2), 1))]
+        assert injected(node) == [((1, 2), 1)]
 
     def test_exactly_one_unit_counter(self):
         for lam in range(3):
-            masses = init_round((4, 4), lam, 3)
-            assert sum(z for _, z in masses) == 1
+            node = NodeKMeansState((4, 4), (1,))
+            assert len(node.begin_round(3, lam)) == 1
+            assert sum(z for _, z in injected(node)) == 1
 
     def test_rejects_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            init_round((5,), 3, 3)
+        for label in (3, -1):
+            node = NodeKMeansState((5,), (1,))
+            with pytest.raises(ValueError) as err:
+                node.begin_round(3, label)
+            assert str(err.value) == \
+                f"cluster index {label} out of range for k=3"
 
 
 class TestFinalize:
@@ -94,8 +111,8 @@ class TestFinalize:
 
 class TestFiles:
     def test_observation_round_trip(self):
-        rows = [(1, -2), (3, 4), (0, 0)]
-        assert parse_observations(serialize_observations(rows)) == rows
+        text = "1 -2\n  3\t4 \n\n0 0\n"
+        assert parse_observations(text) == [(1, -2), (3, 4), (0, 0)]
 
     def test_observation_errors(self):
         with pytest.raises(ValueError, match="line 2"):
@@ -110,9 +127,11 @@ class TestFiles:
         assert rows[2] == fv(-3, 0, den=4)
 
     def test_centroid_round_trip(self):
-        rows = [fv(1, 6, den=2), fv(-4, 1)]
-        again = parse_centroids(serialize_centroids(rows))
-        assert all(a == b for a, b in zip(rows, again))
+        # the ``num/den`` text every artifact writes a centroid in
+        text = "1/2 6/2\n-4/1 1/1\n-2/6 15/6\n"
+        rows = parse_centroids(text)
+        assert rows == [fv(1, 6, den=2), fv(-4, 1), fv(-2, 15, den=6)]
+        assert "".join(f"{c}\n" for c in rows) == text
 
     def test_centroid_errors(self):
         # fractions.Fraction would read the decimal and exponent forms

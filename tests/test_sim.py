@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import itertools
 import random
@@ -204,7 +205,7 @@ def reference_kmeans(g, obs, cents, orders):
     fold over every node's snapshot.  Returns the message log, the centroid
     sets and the steps of each round."""
     k, window = len(cents), diameter(g)
-    nodes = [NodeKMeansState(j, obs[j], orders.targets(j))
+    nodes = [NodeKMeansState(obs[j], orders.targets(j))
              for j in range(g.n)]
     centroid_sets, round_steps, log = [tuple(cents)], [], []
 
@@ -652,8 +653,8 @@ def check_verdicts_by_flood(monkeypatch, g, window):
 
     def checked(k, held):
         values = []
-        for j, row in enumerate(rounds[-1].instances):
-            node = NodeKMeansState(j, (), row[0].targets)
+        for row in rounds[-1].instances:
+            node = NodeKMeansState((), row[0].targets)
             node.instances = row
             values.append(node.held_snapshot_values())
         every = [snapshot(v) for v in values]
@@ -790,6 +791,13 @@ class TestRunKMeans:
             run_kmeans(g, [(i,) for i in range(4)], [fv(0)], d_bound=d_bound)
         assert str(exc.value) \
             == f"d_bound must be 'auto' or an integer, not {d_bound!r}"
+
+    def test_centroid_dimension_must_match_the_observations(self):
+        g = cycle_digraph(4)
+        with pytest.raises(ValueError) as exc:
+            run_kmeans(g, [(i, 0) for i in range(4)], [fv(0)])
+        assert str(exc.value) \
+            == "centroid dimension does not match the observations"
 
     def test_d_bound_above_diameter_is_allowed(self):
         g = cycle_digraph(5)
@@ -928,6 +936,41 @@ class TestExperimentsAndSweep:
     def test_config_rejects_zero_dimensions(self):
         with pytest.raises(ValueError, match="dim must be a positive integer"):
             ExperimentConfig(dim=0, region=()).validate()
+
+    def test_config_rejects_an_empty_region_interval(self):
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(region=((0, 50), (5, 4))).validate()
+        assert str(exc.value) == "region intervals must be nonempty"
+
+    @pytest.mark.parametrize("d_bound", [None, 3.7, "3", True])
+    def test_config_d_bound_is_checked_before_any_seed_runs(
+            self, d_bound, monkeypatch):
+        message = f"d_bound must be 'auto' or an integer, not {d_bound!r}"
+        cfg = ExperimentConfig(n=10, d_bound=d_bound)
+        with pytest.raises(ValueError) as exc:
+            cfg.validate()
+        assert str(exc.value) == message
+
+        def no_graph(*args):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(sim, "generate_random_digraph", no_graph)
+        with pytest.raises(ValueError) as exc:
+            sweep(cfg, 2)
+        assert str(exc.value) == message
+
+    def test_sweep_needs_a_seed(self):
+        with pytest.raises(ValueError) as exc:
+            sweep(ExperimentConfig(n=10), 0)
+        assert str(exc.value) == "num_seeds must be positive"
+
+    def test_as_dict_has_exactly_the_config_fields(self):
+        cfg = ExperimentConfig(n=12, region=((0, 20), (-3, 4)), d_bound=7)
+        out = cfg.as_dict()
+        assert list(out) == [f.name for f in dataclasses.fields(cfg)]
+        assert out["region"] == [[0, 20], [-3, 4]]
+        assert all(out[name] == getattr(cfg, name)
+                   for name in out if name != "region")
 
     def test_small_sweep_aggregates(self):
         cfg = ExperimentConfig(n=10, k=2, dim=2, region=((0, 15), (0, 15)),
