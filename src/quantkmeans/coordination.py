@@ -15,9 +15,9 @@ label's maximum equals its minimum exactly when all its snapshot values are
 equal.  So once per window the simulator cross-multiplies each label's held
 ratios, as its conservation check has just verified them, with the first
 one, and still counts the flood's messages.  ``snapshot``, ``extrema_merge``
-and ``window_check`` are the protocol's own steps; ``flood_verdict``
-replays the flood node by node with them and is the reference that tests
-compare the simulator's verdict against.
+and ``window_check`` are the protocol's own steps; the tests replay the
+flood node by node with them and compare the simulator's verdict against
+that replay.
 """
 
 from __future__ import annotations
@@ -72,22 +72,3 @@ def window_check(state: Extrema,
     if any(e is not None and e.upper != e.lower for e in state):
         return None
     return tuple(None if e is None else e.upper for e in state)
-
-
-def flood_verdict(in_nbrs: Sequence[Sequence[int]],
-                  snapshots: Sequence[Extrema],
-                  rounds: int,
-                  ) -> Optional[tuple[Optional[FractionVector], ...]]:
-    """Reference for one stopping window as the protocol runs it: every node
-    merges the extrema of its in-neighbors (``in_nbrs[j]``) for ``rounds``
-    synchronous rounds, then closes the window on its own state.  Returns
-    the verdict all nodes reached; raises ValueError when two nodes reach
-    different verdicts, which ``rounds`` below the diameter can cause."""
-    states = list(snapshots)
-    for _ in range(rounds):
-        states = [extrema_merge(states[j], [states[i] for i in in_nbrs[j]])
-                  for j in range(len(states))]
-    verdicts = [window_check(state) for state in states]
-    if any(v != verdicts[0] for v in verdicts):
-        raise ValueError("stopping verdicts diverged across nodes")
-    return verdicts[0]

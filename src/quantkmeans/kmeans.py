@@ -117,25 +117,31 @@ class NodeKMeansState:
         return out
 
 
-def parse_observations(text: str) -> list[tuple[int, ...]]:
-    """One observation per line: d integers separated by whitespace."""
-    rows: list[tuple[int, ...]] = []
-    dim = None
+def _read_rows(text: str, read, bad_token: str, what: str) -> list[list]:
+    """The non-blank lines of ``text``, each as its tokens read by ``read``.
+    A token ``read`` rejects raises ``line N: <bad_token>``; every line must
+    have as many tokens as the first."""
+    rows: list[list] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:
-            values = tuple(int(tok) for tok in raw.split())
+            row = [read(tok) for tok in raw.split()]
         except ValueError:
-            raise ValueError(f"line {lineno}: observations must be integers") from None
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise ValueError(f"line {lineno}: expected {dim} coordinates")
-        rows.append(values)
+            raise ValueError(f"line {lineno}: {bad_token}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"line {lineno}: expected {len(rows[0])} coordinates")
+        rows.append(row)
     if not rows:
-        raise ValueError("no observations found")
+        raise ValueError(f"no {what} found")
     return rows
+
+
+def parse_observations(text: str) -> list[tuple[int, ...]]:
+    """One observation per line: d integers separated by whitespace."""
+    return [tuple(row) for row in _read_rows(
+        text, int, "observations must be integers", "observations")]
 
 
 def _parse_coordinate(token: str) -> tuple[int, int]:
@@ -150,22 +156,10 @@ def _parse_coordinate(token: str) -> tuple[int, int]:
 
 def parse_centroids(text: str) -> list[FractionVector]:
     """One centroid per line: d tokens, each ``num/den`` or a plain integer."""
-    rows: list[FractionVector] = []
-    dim = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            parts = [_parse_coordinate(tok) for tok in raw.split()]
-        except ValueError:
-            raise ValueError(f"line {lineno}: bad centroid coordinate") from None
-        if dim is None:
-            dim = len(parts)
-        elif len(parts) != dim:
-            raise ValueError(f"line {lineno}: expected {dim} coordinates")
+    rows = []
+    for parts in _read_rows(text, _parse_coordinate,
+                            "bad centroid coordinate", "centroids"):
         den = prod(d for _, d in parts)
         nums = tuple(n * (den // d) for n, d in parts)
         rows.append(FractionVector(nums, den).reduced())
-    if not rows:
-        raise ValueError("no centroids found")
     return rows

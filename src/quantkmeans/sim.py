@@ -303,12 +303,11 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     dim = _check_inputs(n, 1, 1, vectors=values, g=g)
     targets = _edge_targets(g, orders)
 
-    total_y = tuple(sum(v[i] for v in values) for i in range(dim))
-    average = FractionVector(total_y, n)
     log: Optional[list] = [] if log_messages else None
     # Plain averaging is a round with a single label; its first step is 0.
     lock = _LockStep(values, targets, 1, [0] * n, _MessageStats(), log, -1)
     lock.emit(list(lock.held))
+    total_y = lock.totals[0][:-1]
     states = [row[0] for row in lock.instances]
     per_step = [lock.messages]
     step_bound = n * g.m * g.m
@@ -334,14 +333,16 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
         return all(carries_average(pair[:-1], pair[-1])
                    for pair in lock.held.values())
 
-    step = 0
-    first_stable: Optional[int] = None if inexact_count else 0
+    # ``lock.steps`` is one past the latest step, so while any estimate is
+    # inexact, the first step from which all stay exact is at least that.
+    S_t = 0
     lock.check_conservation()
-    while first_stable is None or not masses_settled():
-        if step >= cap:
+    while inexact_count or not masses_settled():
+        if lock.steps > cap:
             raise ProtocolError(
                 f"no convergence within {cap} steps (bound {step_bound})")
-        step += 1
+        if inexact_count:
+            S_t = lock.steps
         received = lock.deliver()
         lock.emit(received)
         per_step.append(len(lock.pending))
@@ -349,19 +350,14 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
         for j, _ in received:
             old, node_inexact[j] = node_inexact[j], inexact(states[j])
             inexact_count += node_inexact[j] - old
-        if not inexact_count:
-            if first_stable is None:
-                first_stable = step
-        else:
-            first_stable = None
     lock.check_conservation_scan()
 
-    S_t = first_stable
     if log is not None:
         log = [(s, a, b, z, y) for s, a, b, _, z, y in log]
     return ConsensusTrace(
-        n=n, m=g.m, dim=dim, steps=step, S_t=S_t, step_bound=step_bound,
-        bound_ok=S_t <= step_bound, average=average,
+        n=n, m=g.m, dim=dim, steps=lock.steps - 1, S_t=S_t,
+        step_bound=step_bound, bound_ok=S_t <= step_bound,
+        average=FractionVector(total_y, n),
         estimates=[st.estimate for st in states],
         messages=lock.messages, per_step_messages=per_step, message_log=log)
 
@@ -403,7 +399,6 @@ class KMeansTrace:
     flag_step: Optional[int]
     silent_after_stop: bool
     message_log: Optional[list[tuple[int, int, int, int, int, tuple[int, ...]]]] = None
-    config: Optional[dict] = None
 
     @property
     def objective_values(self) -> list[Fraction]:
@@ -436,8 +431,8 @@ def _window_verdict(k: int, held: dict[tuple[int, int], tuple[int, ...]]):
     held ratios are equal.  So the verdict is ``None`` at the first pair
     whose ratio differs, by cross-multiplication, from its label's first
     pair's; otherwise it is each label's first reduced ratio (the fold's
-    form), ``None`` for a label no pair has (``flood_verdict`` in
-    ``coordination`` is the node-by-node reference)."""
+    form), ``None`` for a label no pair has.  The tests hold it to a
+    node-by-node replay of the flood with ``coordination``'s steps."""
     verdict: list[Optional[FractionVector]] = [None] * k
     for (_, cl), pair in held.items():
         seen = verdict[cl]
@@ -518,14 +513,14 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     rounds = [RoundRecord(0, 0, 0, 0, current,
                           distance_objective(x, assignments, current))]
     C_t = 0
-    per_round_cap = _RUNAWAY_FACTOR * (window + n * g.m * g.m)
+    round_bound = window + n * g.m * g.m
     terminated = False
     T = 0
     while T < max_rounds and not terminated:
         T += 1
         steps, mass_msgs, ext_msgs, verdict = _run_round(
-            x, targets, k, assignments, window, g.m, per_round_cap, stats,
-            log, C_t)
+            x, targets, k, assignments, window, g.m,
+            _RUNAWAY_FACTOR * round_bound, stats, log, C_t)
         current, unchanged = finalize_round(verdict, current)
         assignments = [assign_cluster(v, current) for v in x]
         rounds.append(RoundRecord(T, steps, mass_msgs, ext_msgs, current,
@@ -533,7 +528,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
         C_t += steps
         terminated = T >= 2 and unchanged
 
-    step_bound = T * (window + n * g.m * g.m)
+    step_bound = T * round_bound
     return KMeansTrace(
         n=n, m=g.m, diam=diam, d_bound=window, k=k, dim=dim,
         rounds=rounds, centroid_sets=[r.centroids for r in rounds],
@@ -545,7 +540,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
         mass_payload_bits=stats.bits,
         flag_step=C_t if terminated else None,
         silent_after_stop=terminated and stats.last_step < C_t,
-        message_log=log, config=None)
+        message_log=log)
 
 
 # --------------------------------------------------------------------------
@@ -603,12 +598,10 @@ def run_experiment(config: ExperimentConfig,
     config.validate()
     g = generate_random_digraph(config.n, config.extra_edge_probability,
                                 config.graph_seed)
-    trace = run_kmeans(
+    return run_kmeans(
         g, generate_observations(config), generate_centroids(config),
         d_bound=config.d_bound, max_rounds=config.max_rounds,
         log_messages=log_messages)
-    trace.config = config.as_dict()
-    return trace
 
 
 # Seed strides keep the derived graph/observation/centroid streams disjoint
@@ -689,7 +682,9 @@ def sweep(config: ExperimentConfig, num_seeds: int,
     if workers is not None and workers > 1:
         import multiprocessing
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_sweep_single, jobs)
+            # ``imap`` yields in seed order, so the lowest failing seed
+            # raises, as in the serial loop.
+            results = list(pool.imap(_sweep_single, jobs))
     else:
         results = [_sweep_single(job) for job in jobs]
 

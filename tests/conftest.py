@@ -3,6 +3,7 @@ import random
 import pytest
 
 from quantkmeans import sim
+from quantkmeans.coordination import extrema_merge, window_check
 from quantkmeans.graph import Digraph
 
 
@@ -19,6 +20,22 @@ def agreed_pairs(verdict):
     """The (nums, den) form of every certified value in a window verdict;
     a window that does not close certifies none."""
     return [(v.nums, v.den) for v in verdict or () if v is not None]
+
+
+def flood_verdict(in_nbrs, snapshots, rounds):
+    """Reference for one stopping window as the protocol runs it: every node
+    merges the extrema of its in-neighbors (``in_nbrs[j]``) for ``rounds``
+    synchronous rounds, then closes the window on its own state.  Returns
+    the verdict all nodes reached; raises ValueError when two nodes reach
+    different verdicts, which ``rounds`` below the diameter can cause."""
+    states = list(snapshots)
+    for _ in range(rounds):
+        states = [extrema_merge(states[j], [states[i] for i in in_nbrs[j]])
+                  for j in range(len(states))]
+    verdicts = [window_check(state) for state in states]
+    if any(v != verdicts[0] for v in verdicts):
+        raise ValueError("stopping verdicts diverged across nodes")
+    return verdicts[0]
 
 
 @pytest.fixture

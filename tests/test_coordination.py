@@ -4,13 +4,12 @@ import pytest
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState
-from quantkmeans.coordination import (extrema_merge, flood_verdict, snapshot,
-                                      window_check)
+from quantkmeans.coordination import extrema_merge, snapshot, window_check
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
 from quantkmeans.kmeans import NodeKMeansState
 
-from conftest import agreed_pairs, cycle_digraph
+from conftest import agreed_pairs, cycle_digraph, flood_verdict
 
 
 def fv(*nums, den=1):

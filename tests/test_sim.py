@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState, Mass
-from quantkmeans.coordination import (extrema_merge, flood_verdict, snapshot,
-                                      window_check)
+from quantkmeans.coordination import extrema_merge, snapshot, window_check
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
                                generate_random_digraph)
@@ -19,7 +18,7 @@ from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
                              run_kmeans, sweep)
 
-from conftest import agreed_pairs, cycle_digraph
+from conftest import agreed_pairs, cycle_digraph, flood_verdict
 
 
 def fv(*nums, den=1):
@@ -45,6 +44,25 @@ def eight_node_counterexample():
              (5, 2), (5, 3), (5, 4), (5, 6), (6, 3), (6, 4), (7, 0), (7, 1),
              (7, 2), (7, 4), (7, 5), (7, 6)]
     return Digraph(8, edges), [(v,) for v in (3, 1, 0, 2, 2, 0, 2, 0)]
+
+
+def eulerian_digraph(seed):
+    """A seeded union of edge-disjoint directed cycles on 4..20 nodes: a
+    Hamiltonian cycle plus up to three more (a drawn cycle that would
+    repeat an edge is skipped), with integer values for its nodes."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 20)
+    edges = set()
+    cycles = [rng.sample(range(n), n)]
+    cycles += [rng.sample(range(n), rng.randint(2, n))
+               for _ in range(rng.randint(0, 3))]
+    for cycle in cycles:
+        links = {(cycle[(i + 1) % len(cycle)], v)
+                 for i, v in enumerate(cycle)}
+        if not links & edges:
+            edges |= links
+    values = [(rng.randint(-20, 20),) for _ in range(n)]
+    return Digraph(n, edges), values
 
 
 class TestRunConsensus:
@@ -99,13 +117,22 @@ class TestRunConsensus:
         assert trace.bound_ok is False
         assert all(e == fv(8, den=23) for e in trace.estimates)
 
-    def test_ladder_overshoot_is_reported(self):
-        trace = run_consensus(ladder_digraph(14),
-                              [(i % 3,) for i in range(14)])
-        assert trace.S_t == trace.steps == 10537
-        assert trace.step_bound == 9464
-        assert trace.bound_ok is False
-        assert all(e == fv(13, den=14) for e in trace.estimates)
+    @pytest.mark.parametrize("n, S_t, step_bound, bound_ok", [
+        (12, 2856, 5808, True),
+        (13, 7461, 7488, True),
+        (14, 10537, 9464, False),
+        (15, 22825, 11760, False),
+        (16, 59686, 14400, False),
+        (17, 84266, 17408, False),
+    ])
+    def test_ladder_overshoot_is_reported(self, n, S_t, step_bound,
+                                          bound_ok):
+        values = [(i % 3,) for i in range(n)]
+        trace = run_consensus(ladder_digraph(n), values)
+        assert trace.S_t == trace.steps == S_t
+        assert trace.step_bound == step_bound
+        assert trace.bound_ok is bound_ok
+        assert all(e == brute_average(values) for e in trace.estimates)
 
     def test_eight_node_overshoot_is_reported(self):
         g, values = eight_node_counterexample()
@@ -114,6 +141,22 @@ class TestRunConsensus:
         assert trace.step_bound == 6272
         assert trace.bound_ok is False
         assert all(e == fv(5, den=4) for e in trace.estimates)
+
+    @pytest.mark.parametrize("orders_seed", [None, 1, 2])
+    def test_eulerian_digraphs_keep_the_step_bound(self, orders_seed):
+        """On an Eulerian digraph (every in-degree equals the out-degree)
+        the walk's stationary measure is ``outdeg/m``, so no node is rarely
+        visited.  That the ``n*m^2`` bound then holds is a sampled property
+        of these 30 seeded graphs, not a theorem."""
+        for seed in range(30):
+            g, values = eulerian_digraph(seed)
+            assert all(len(g.in_neighbors(j)) == len(g.out_neighbors(j))
+                       for j in range(g.n))
+            orders = (None if orders_seed is None
+                      else assign_edge_orders(g, seed=orders_seed))
+            trace = run_consensus(g, values, orders=orders)
+            assert trace.bound_ok, (seed, trace.S_t, trace.step_bound)
+            assert all(e == brute_average(values) for e in trace.estimates)
 
     def test_random_batch_matches_brute_average(self):
         rng = random.Random(6)
@@ -923,7 +966,6 @@ class TestExperimentsAndSweep:
         assert a.T == b.T and a.C_t == b.C_t
         assert [str(c) for c in a.centroid_sets[-1]] == \
                [str(c) for c in b.centroid_sets[-1]]
-        assert a.config == cfg.as_dict()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -958,6 +1000,18 @@ class TestExperimentsAndSweep:
         with pytest.raises(ValueError) as exc:
             sweep(cfg, 2)
         assert str(exc.value) == message
+
+    def test_parallel_sweep_error_names_the_lowest_failing_seed(self):
+        # Seed 0 runs out of rounds; seed 1's graph has diameter 8, above
+        # d_bound.  A pool may finish seed 1 first, yet both sweeps must
+        # report seed 0.
+        cfg = ExperimentConfig(n=40, k=3, extra_edge_probability=0.05,
+                               graph_seed=4, max_rounds=1, d_bound=7)
+        for workers in (None, 2):
+            with pytest.raises(ProtocolError) as exc:
+                sweep(cfg, 2, workers=workers)
+            assert str(exc.value) == \
+                "sweep seed 0: no termination within 1 rounds"
 
     def test_sweep_needs_a_seed(self):
         with pytest.raises(ValueError) as exc:
