@@ -13,11 +13,12 @@ import sys
 from pathlib import Path
 
 from .exactmath import FractionVector
-from .graph import diameter, generate_random_digraph, parse_edge_list, serialize_edge_list
+from .graph import diameter, parse_edge_list, serialize_edge_list
 from .kmeans import parse_centroids, parse_observations
 from .oracle import check_equivalence, lloyd_reference
 from .sim import (ExperimentConfig, ProtocolError, generate_centroids,
-                  generate_observations, run_consensus, run_kmeans, sweep)
+                  generate_graph, generate_observations, run_consensus,
+                  run_kmeans, sweep)
 
 SCHEMA_PREFIX = "quantkmeans"
 
@@ -124,14 +125,16 @@ def _experiment_config(args, implied: dict[str, int]) -> ExperimentConfig:
                 ("graph_seed", "observation_seed", "centroid_seed")):
             fields.setdefault(field, base_seed + offset)
     dim = fields.get("dim", ExperimentConfig.dim)
+    if region is not None and box is not None:
+        raise ValueError("box and region cannot both be set")
     if region is not None:
         fields["region"] = tuple(_parse_interval(part)
                                  for part in region.split(","))
     elif box is not None:
         fields["region"] = (_parse_interval(box),) * dim
     elif "dim" in fields:
-        # the dataclass default region fits only dim=2
-        fields["region"] = ((0, 50),) * dim
+        # the default region's box on every dimension
+        fields["region"] = ExperimentConfig.region[:1] * dim
     return ExperimentConfig(**fields)
 
 
@@ -150,8 +153,7 @@ def cmd_gen_graph(args) -> int:
         raise ValueError("--n is required")
     # the graph ``kmeans`` would generate from the same settings
     config = _experiment_config(args, {})
-    g = generate_random_digraph(config.n, config.extra_edge_probability,
-                                config.graph_seed)
+    g = generate_graph(config)
     diam = diameter(g)
     out = Path(args.out)
     out.write_text(serialize_edge_list(g), encoding="utf-8")
@@ -228,8 +230,7 @@ def cmd_kmeans(args) -> int:
     config = _experiment_config(args, implied)
     config.validate()
     if g is None:
-        g = generate_random_digraph(config.n, config.extra_edge_probability,
-                                    config.graph_seed)
+        g = generate_graph(config)
     if observations is None:
         observations = generate_observations(config)
     if centroids is None:
@@ -258,7 +259,7 @@ def cmd_kmeans(args) -> int:
         "mass_payload_bits": trace.mass_payload_bits,
         "silent_after_stop": trace.silent_after_stop,
         "final_centroids": [_centroid_cell(c)
-                            for c in trace.centroid_sets[-1]],
+                            for c in trace.rounds[-1].centroids],
         "objective_final": str(trace.rounds[-1].objective),
     }
     exit_code = 0
@@ -314,12 +315,12 @@ def cmd_sweep(args) -> int:
     config = _experiment_config(args, {})
     result = sweep(config, args.seeds, workers=args.workers)
     out = _out_dir(args)
-    config_dict = dict(result.config)
+    config_dict = config.as_dict()
     config_dict.update({"command": "sweep", "num_seeds": args.seeds})
     _write_json(out / "sweep_aggregate.json", {
         "schema": f"{SCHEMA_PREFIX}-sweep-v1",
         "config": config_dict,
-        "num_seeds": result.num_seeds,
+        "num_seeds": args.seeds,
         "t_mean": result.t_mean, "t_min": result.t_min, "t_max": result.t_max,
         "histogram": [list(pair) for pair in result.histogram],
         "band": list(result.band),
@@ -340,7 +341,7 @@ def cmd_sweep(args) -> int:
                result.histogram)
     _write_csv(out / "sweep_fmean.csv", config_dict, ["T", "F_mean_float"],
                list(enumerate(result.f_mean_curve)))
-    print(f"seeds={result.num_seeds} t_mean={result.t_mean:.2f} "
+    print(f"seeds={args.seeds} t_mean={result.t_mean:.2f} "
           f"t_min={result.t_min} t_max={result.t_max}")
     if result.band_violations:
         print(f"warning: T outside sanity band {result.band} for seeds "

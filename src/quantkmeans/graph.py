@@ -63,30 +63,27 @@ class Digraph:
 
 
 class EdgeOrdering:
-    """Per-node bijection from out-neighbors to orders 0..out_degree-1.
+    """Each node's round-robin target list, given as a per-node bijection
+    from out-neighbors to orders 0..out_degree-1.
 
     ``targets(j)[e]`` is the out-neighbor of j that holds order e, i.e. the
     destination of j's transmission when its round-robin pointer equals e.
+    A node the orders do not name has no targets.
     """
 
-    __slots__ = ("orders", "_targets")
+    __slots__ = ("_targets",)
 
     def __init__(self, orders: dict[int, dict[int, int]]):
-        self.orders = orders
-        targets = {}
+        self._targets = {}
         for j, by_neighbor in orders.items():
-            values = sorted(by_neighbor.values())
-            if values != list(range(len(by_neighbor))):
+            slots = sorted(by_neighbor, key=by_neighbor.__getitem__)
+            if [by_neighbor[t] for t in slots] != list(range(len(slots))):
                 raise ValueError(f"orders at node {j} are not a bijection onto "
                                  f"0..{len(by_neighbor) - 1}")
-            slots = [0] * len(by_neighbor)
-            for neighbor, order in by_neighbor.items():
-                slots[order] = neighbor
-            targets[j] = tuple(slots)
-        self._targets = targets
+            self._targets[j] = tuple(slots)
 
     def targets(self, j: int) -> tuple[int, ...]:
-        return self._targets[j]
+        return self._targets.get(j, ())
 
 
 def _bfs_distances(g: Digraph, source: int, reverse: bool = False) -> list[int]:

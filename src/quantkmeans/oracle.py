@@ -8,7 +8,7 @@ isolates a protocol bug rather than arithmetic drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactmath import FractionVector
 from .kmeans import assign_cluster
@@ -31,7 +31,6 @@ def brute_average(vectors: Sequence[Sequence[int]]) -> FractionVector:
 @dataclass
 class LloydResult:
     centroid_sets: list[tuple[FractionVector, ...]]  # T = 0 .. rounds run
-    assignments: list[list[int]]          # per executed round
     T: int
     terminated: bool
 
@@ -51,7 +50,6 @@ def lloyd_reference(observations: Sequence[Sequence[int]],
     if not current:
         raise ValueError("at least one centroid is required")
     sets = [current]
-    assignment_history: list[list[int]] = []
     terminated = False
     T = 0
     while T < max_rounds and not terminated:
@@ -68,43 +66,32 @@ def lloyd_reference(observations: Sequence[Sequence[int]],
             else:
                 new.append(current[cl])
         updated = tuple(new)
-        assignment_history.append(labels)
         sets.append(updated)
         if T >= 2 and updated == current:
             terminated = True
         current = updated
-    return LloydResult(sets, assignment_history, T, terminated)
+    return LloydResult(sets, T, terminated)
 
 
 @dataclass
 class EquivalenceReport:
     passed: bool
-    first_divergence: Optional[tuple[int, int]] = None   # (round, cluster)
     detail: str = ""
 
 
 def check_equivalence(trace, oracle: LloydResult) -> EquivalenceReport:
     """Round-by-round comparison of a distributed trace against the reference:
     both must produce the same number of calculations and exactly equal
-    centroid values at every round."""
-    distributed = trace.centroid_sets
-    reference = oracle.centroid_sets
-    rounds = min(len(distributed), len(reference))
-    for t in range(rounds):
-        a, b = distributed[t], reference[t]
-        for cl in range(len(a)):
-            if a[cl] != b[cl]:
+    centroid values at every round.  ``detail`` names the first round and
+    cluster that differ, or else the two calculation counts."""
+    for r, reference in zip(trace.rounds, oracle.centroid_sets):
+        for cl, (a, b) in enumerate(zip(r.centroids, reference)):
+            if a != b:
                 return EquivalenceReport(
-                    False, (t, cl),
-                    f"round {t} cluster {cl}: distributed "
-                    f"{a[cl]} vs reference {b[cl]}")
+                    False, f"round {r.T} cluster {cl}: distributed "
+                           f"{a} vs reference {b}")
     if trace.T != oracle.T:
         return EquivalenceReport(
-            False, (rounds, -1),
-            f"calculation counts differ: distributed T={trace.T}, "
-            f"reference T={oracle.T}")
-    if len(distributed) != len(reference):
-        return EquivalenceReport(
-            False, (rounds, -1),
-            f"sequence lengths differ: {len(distributed)} vs {len(reference)}")
-    return EquivalenceReport(True, None, "identical centroid sequences")
+            False, f"calculation counts differ: distributed T={trace.T}, "
+                   f"reference T={oracle.T}")
+    return EquivalenceReport(True, "identical centroid sequences")

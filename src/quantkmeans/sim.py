@@ -90,8 +90,7 @@ def _edge_targets(g: Digraph, orders: EdgeOrdering | None,
     in ``g``."""
     if orders is None:
         orders = assign_edge_orders(g)
-    targets = [orders.targets(j) if j in orders.orders else ()
-               for j in range(g.n)]
+    targets = [orders.targets(j) for j in range(g.n)]
     if any(sorted(t) != list(g.out_neighbors(j))
            for j, t in enumerate(targets)):
         raise ValueError("edge orders do not match the graph")
@@ -385,7 +384,6 @@ class KMeansTrace:
     k: int
     dim: int
     rounds: list[RoundRecord]
-    centroid_sets: list[tuple[FractionVector, ...]]
     final_assignments: list[int]
     T: int
     C_t: int
@@ -396,13 +394,8 @@ class KMeansTrace:
     extrema_messages: int
     max_mass_component: int
     mass_payload_bits: int
-    flag_step: Optional[int]
     silent_after_stop: bool
     message_log: Optional[list[tuple[int, int, int, int, int, tuple[int, ...]]]] = None
-
-    @property
-    def objective_values(self) -> list[Fraction]:
-        return [r.objective for r in self.rounds]
 
 
 def distance_objective(observations: Sequence[Sequence[int]],
@@ -530,15 +523,13 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
 
     step_bound = T * round_bound
     return KMeansTrace(
-        n=n, m=g.m, diam=diam, d_bound=window, k=k, dim=dim,
-        rounds=rounds, centroid_sets=[r.centroids for r in rounds],
+        n=n, m=g.m, diam=diam, d_bound=window, k=k, dim=dim, rounds=rounds,
         final_assignments=assignments, T=T, C_t=C_t, terminated=terminated,
         step_bound=step_bound, bound_ok=C_t <= step_bound,
         mass_messages=sum(r.mass_messages for r in rounds),
         extrema_messages=sum(r.extrema_messages for r in rounds),
         max_mass_component=stats.max_component,
         mass_payload_bits=stats.bits,
-        flag_step=C_t if terminated else None,
         silent_after_stop=terminated and stats.last_step < C_t,
         message_log=log)
 
@@ -593,13 +584,18 @@ def generate_centroids(config: ExperimentConfig) -> list[FractionVector]:
     return out
 
 
+def generate_graph(config: ExperimentConfig) -> Digraph:
+    """The seeded random digraph the experiment runs on."""
+    return generate_random_digraph(config.n, config.extra_edge_probability,
+                                   config.graph_seed)
+
+
 def run_experiment(config: ExperimentConfig,
                    log_messages: bool = False) -> KMeansTrace:
     config.validate()
-    g = generate_random_digraph(config.n, config.extra_edge_probability,
-                                config.graph_seed)
     return run_kmeans(
-        g, generate_observations(config), generate_centroids(config),
+        generate_graph(config), generate_observations(config),
+        generate_centroids(config),
         d_bound=config.d_bound, max_rounds=config.max_rounds,
         log_messages=log_messages)
 
@@ -623,8 +619,6 @@ def config_for_seed(config: ExperimentConfig, index: int) -> ExperimentConfig:
 
 @dataclass
 class SweepResult:
-    config: dict
-    num_seeds: int
     per_seed: list[dict]
     t_mean: float
     t_min: int
@@ -642,15 +636,15 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
     try:
         trace = run_experiment(sub)
     except ProtocolError as exc:
-        raise ProtocolError(f"sweep seed {index} failed: {exc}") from exc
+        raise ProtocolError(f"sweep seed {index}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"sweep seed {index}: {exc}") from exc
     if not trace.terminated:
         raise ProtocolError(
             f"sweep seed {index}: no termination within {sub.max_rounds} rounds")
-    objectives = trace.objective_values
+    objectives = [r.objective for r in trace.rounds]
     monotone = all(b <= a for a, b in zip(objectives, objectives[1:]))
-    final = trace.rounds[-1].objective
+    final = objectives[-1]
     return {
         "seed": index,
         "graph_seed": sub.graph_seed,
@@ -664,7 +658,7 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
         "objective_monotone": monotone,
         "objective_final": str(final),
         "objective_final_float": float(final),
-        "objective_curve_float": [float(r.objective) for r in trace.rounds],
+        "objective_curve_float": [float(f) for f in objectives],
     }
 
 
@@ -703,7 +697,7 @@ def sweep(config: ExperimentConfig, num_seeds: int,
     lo, hi = T_SANITY_BAND
     violations = [row["seed"] for row in results if not lo <= row["T"] <= hi]
     return SweepResult(
-        config=config.as_dict(), num_seeds=num_seeds, per_seed=results,
+        per_seed=results,
         t_mean=sum(ts) / len(ts), t_min=min(ts), t_max=max(ts),
         histogram=sorted(histogram.items()), f_mean_curve=f_mean,
         band=T_SANITY_BAND, band_violations=violations,

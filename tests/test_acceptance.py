@@ -150,11 +150,11 @@ def test_criterion_4_distributed_equals_centralized(kmeans_batch):
 
 def test_criterion_5_objective_monotonicity(kmeans_batch, sweep_result):
     for _, _, _, trace in kmeans_batch:
-        values = trace.objective_values
+        values = [r.objective for r in trace.rounds]
         assert all(b <= a for a, b in zip(values, values[1:]))
     assert all(row["objective_monotone"] for row in sweep_result.per_seed)
     print(f"\n[criterion 5] PASS: F(T) non-increasing (exact) on "
-          f"{len(kmeans_batch)} desk runs and {sweep_result.num_seeds} "
+          f"{len(kmeans_batch)} desk runs and {len(sweep_result.per_seed)} "
           f"sweep runs")
 
 
@@ -163,7 +163,7 @@ def test_criterion_6_step_bound_compliance(sweep_result):
         assert row["bound_ok"]
         assert row["C_t"] <= row["step_bound"]
     print(f"\n[criterion 6] PASS: C_t <= T*(D + n*m^2) on all "
-          f"{sweep_result.num_seeds} sweep runs")
+          f"{len(sweep_result.per_seed)} sweep runs")
 
 
 def test_criterion_7_transmission_stopping(kmeans_batch):
@@ -175,9 +175,8 @@ def test_criterion_7_transmission_stopping(kmeans_batch):
     for g, observations, centroids, _ in kmeans_batch[:5]:
         logged = run_kmeans(g, observations, centroids, max_rounds=100,
                             log_messages=True)
-        assert logged.flag_step == logged.C_t
         last_send = max(row[0] for row in logged.message_log)
-        assert last_send < logged.flag_step
+        assert last_send < logged.C_t
     print(f"\n[criterion 7] PASS: the bus is silent after the flag step in "
           f"all {len(kmeans_batch)} runs (verified from message logs on 5)")
 

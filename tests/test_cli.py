@@ -220,6 +220,24 @@ class TestKMeansCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: bad interval") and "LO:HI" in err
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_box_with_region_is_an_input_error(self, tmp_path, capsys,
+                                                source):
+        args = ["kmeans", "--n", "5", "--k", "2", "--dim", "2",
+                "--region", "0:3,0:3"]
+        if source == "flags":
+            args += ["--box", "1:2"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("box=1:2\n", encoding="utf-8")
+            args += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        rc = main(args + ["--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: box and region cannot both be set\n"
+        assert not out.exists()
+
     def test_dim_without_one_interval_each_is_an_input_error(self, tmp_path,
                                                             capsys):
         rc = main(["kmeans", "--n", "6", "--k", "2", "--dim", "3",
@@ -335,6 +353,16 @@ class TestSweepCommand:
                      "sweep_thist.csv", "sweep_fmean.csv"):
             assert read(dir_a / name) == read(dir_b / name)
 
+    def test_protocol_error_names_its_seed(self, tmp_path, capsys,
+                                           delivery_leak):
+        rc = main(["sweep", "--n", "10", "--k", "2", "--p", "0.25",
+                   "--box", "0:15", "--seed", "3", "--seeds", "2",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "protocol violation: sweep seed 0: mass conservation violated\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_an_input_error(self, tmp_path, capsys,
                                                  workers):
@@ -429,13 +457,15 @@ class TestConfigFile:
         assert (summary["config"]["n"], summary["n"]) == (8, 8)
 
     def test_every_documented_key_is_accepted(self, tmp_path):
+        # box and region are exclusive, so each gets its own file
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=8\nk=2\ndim=2\np=0.3\nregion=0:9,0:9\nbox=0:9\n"
-                       "seed=4\ngraph-seed=5\nobservation_seed=6\n"
-                       "centroid_seed=7\nd_bound=auto\nmax_rounds=20\n",
-                       encoding="utf-8")
-        assert main(["kmeans", "--config", str(cfg),
-                     "--out-dir", str(tmp_path)]) == 0
+        for interval in ("region=0:9,0:9", "box=0:9"):
+            cfg.write_text(f"n=8\nk=2\ndim=2\np=0.3\n{interval}\n"
+                           "seed=4\ngraph-seed=5\nobservation_seed=6\n"
+                           "centroid_seed=7\nd_bound=auto\nmax_rounds=20\n",
+                           encoding="utf-8")
+            assert main(["kmeans", "--config", str(cfg),
+                         "--out-dir", str(tmp_path)]) == 0
 
 
 PIN_FLAGS = ["--n", "16", "--k", "3", "--p", "0.2", "--box", "0:30",

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
-                               generate_random_digraph, is_strongly_connected,
-                               parse_edge_list, serialize_edge_list)
+from quantkmeans.graph import (Digraph, EdgeOrdering, assign_edge_orders,
+                               diameter, generate_random_digraph,
+                               is_strongly_connected, parse_edge_list,
+                               serialize_edge_list)
 
 from conftest import complete_digraph, cycle_digraph
 
@@ -117,13 +118,16 @@ class TestEdgeOrders:
     def test_ascending_id_rule(self):
         g = Digraph(4, [(3, 0), (1, 0), (0, 1), (0, 3), (2, 0), (0, 2), (3, 2), (2, 3)])
         orders = assign_edge_orders(g)
-        assert orders.orders[0] == {1: 0, 2: 1, 3: 2}
         assert orders.targets(0) == (1, 2, 3)
 
     def test_single_out_neighbor(self):
         orders = assign_edge_orders(cycle_digraph(3))
-        assert orders.orders[0] == {1: 0}
         assert orders.targets(0) == (1,)
+
+    def test_orders_that_are_not_a_bijection_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            EdgeOrdering({0: {1: 0, 2: 0}})
+        assert str(exc.value) == "orders at node 0 are not a bijection onto 0..1"
 
     def test_bijection_on_random_graphs(self):
         rng = random.Random(5)
@@ -133,14 +137,15 @@ class TestEdgeOrders:
             for seed in (None, 13):
                 orders = assign_edge_orders(g, seed=seed)
                 for j in range(g.n):
-                    values = sorted(orders.orders[j].values())
-                    assert values == list(range(len(g.out_neighbors(j))))
+                    assert sorted(orders.targets(j)) == \
+                        list(g.out_neighbors(j))
 
     def test_deterministic(self):
         g = generate_random_digraph(15, 0.3, seed=2)
         a = assign_edge_orders(g)
         b = assign_edge_orders(g)
-        assert a.orders == b.orders
+        assert [a.targets(j) for j in range(g.n)] == \
+               [b.targets(j) for j in range(g.n)]
 
 
 class TestEdgeListFormat:

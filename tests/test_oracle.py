@@ -4,6 +4,7 @@ import pytest
 
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import generate_random_digraph
+from quantkmeans.kmeans import assign_cluster
 from quantkmeans.oracle import (brute_average, check_equivalence,
                                 lloyd_reference)
 from quantkmeans.sim import distance_objective, run_kmeans
@@ -60,9 +61,11 @@ class TestLloyd:
             cents = [fv(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(k)]
             result = lloyd_reference(obs, cents)
             assert result.terminated
+            sets = result.centroid_sets
             values = [
-                distance_objective(obs, labels, result.centroid_sets[t + 1])
-                for t, labels in enumerate(result.assignments)
+                distance_objective(
+                    obs, [assign_cluster(x, before) for x in obs], after)
+                for before, after in zip(sets, sets[1:])
             ]
             assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -86,7 +89,17 @@ class TestEquivalence:
         flipped = lloyd_reference(obs, cents, tie_break="high")
         report = check_equivalence(trace, flipped)
         assert not report.passed
-        assert report.first_divergence is not None
+        # (0, 0) joins cluster 0 under the low rule, cluster 1 under the high
+        assert report.detail == ("round 1 cluster 0: distributed 4/3 1/3 vs "
+                                 "reference 4/2 1/2")
+
+    def test_calculation_count_mismatch_is_reported(self):
+        g, obs, cents = self._tie_instance()
+        trace = run_kmeans(g, obs, cents, max_rounds=1)
+        report = check_equivalence(trace, lloyd_reference(obs, cents))
+        assert not report.passed
+        assert report.detail == ("calculation counts differ: distributed "
+                                 "T=1, reference T=2")
 
     def test_empty_cluster_instance_passes_with_carry_over(self):
         g = generate_random_digraph(4, 0.5, seed=3)
@@ -95,4 +108,4 @@ class TestEquivalence:
         trace = run_kmeans(g, obs, cents)
         report = check_equivalence(trace, lloyd_reference(obs, cents))
         assert report.passed
-        assert trace.centroid_sets[-1][1] == fv(9, 9)
+        assert trace.rounds[-1].centroids[1] == fv(9, 9)

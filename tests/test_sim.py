@@ -564,7 +564,7 @@ class TestPollingReceivedPairs:
         assert trace.message_log == log
         assert (trace.T, trace.C_t) == (len(round_steps), sum(round_steps))
         assert [r.steps for r in trace.rounds[1:]] == round_steps
-        assert trace.centroid_sets == centroid_sets
+        assert [r.centroids for r in trace.rounds] == centroid_sets
         assert trace.mass_messages == len(log)
         assert trace.terminated
 
@@ -652,7 +652,7 @@ class TestReportedGuarantees:
                [True, False, True]
         assert result.all_bounds_ok is False
 
-    def test_a_send_on_the_flag_step_is_not_silent(self, monkeypatch):
+    def test_a_send_at_the_stop_step_is_not_silent(self, monkeypatch):
         deliver = sim._LockStep.deliver
 
         def deliver_and_chatter(self):
@@ -671,7 +671,7 @@ class TestReportedGuarantees:
         trace = run_kmeans(cycle_digraph(4), [(i,) for i in range(4)],
                            [fv(0), fv(3)], log_messages=True)
         assert trace.terminated
-        assert max(row[0] for row in trace.message_log) == trace.flag_step
+        assert max(row[0] for row in trace.message_log) == trace.C_t
         assert trace.silent_after_stop is False
 
 
@@ -742,7 +742,7 @@ class TestRunKMeans:
         trace = run_kmeans(g, obs, [fv(0)])
         assert trace.T == 2
         assert trace.terminated
-        assert trace.centroid_sets[-1][0] == fv(6)
+        assert trace.rounds[-1].centroids[0] == fv(6)
 
     def test_ladder_overshoot_is_reported(self):
         g = ladder_digraph(16)
@@ -766,7 +766,7 @@ class TestRunKMeans:
         g = generate_random_digraph(4, 0.5, seed=3)
         trace = run_kmeans(g, [(7, 7)] * 4, [fv(7, 7), fv(9, 9)])
         assert trace.T == 2
-        assert trace.centroid_sets[-1][1] == fv(9, 9)
+        assert trace.rounds[-1].centroids[1] == fv(9, 9)
         assert trace.terminated
 
     def test_objective_monotone_and_bound_checked(self):
@@ -774,7 +774,7 @@ class TestRunKMeans:
         rng = random.Random(4)
         obs = [tuple(rng.randint(0, 40) for _ in range(2)) for _ in range(12)]
         trace = run_kmeans(g, obs, [fv(1, 1), fv(30, 30), fv(40, 0)])
-        values = trace.objective_values
+        values = [r.objective for r in trace.rounds]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert trace.C_t <= trace.step_bound
         assert trace.bound_ok
@@ -786,8 +786,7 @@ class TestRunKMeans:
         trace = run_kmeans(g, obs, [fv(0, 0), fv(20, 20)], log_messages=True)
         assert trace.terminated
         assert trace.silent_after_stop
-        assert trace.flag_step == trace.C_t
-        assert max(row[0] for row in trace.message_log) < trace.flag_step
+        assert max(row[0] for row in trace.message_log) < trace.C_t
 
     def test_no_message_on_a_round_closing_step(self):
         g = generate_random_digraph(12, 0.2, seed=21)
@@ -811,8 +810,8 @@ class TestRunKMeans:
         b = run_kmeans(g, obs, cents, log_messages=True)
         assert a.message_log == b.message_log
         assert a.C_t == b.C_t
-        assert [str(c) for s in a.centroid_sets for c in s] == \
-               [str(c) for s in b.centroid_sets for c in s]
+        assert [str(c) for r in a.rounds for c in r.centroids] == \
+               [str(c) for r in b.rounds for c in r.centroids]
 
     def test_max_rounds_reports_unterminated(self):
         g = generate_random_digraph(6, 0.3, seed=9)
@@ -820,7 +819,6 @@ class TestRunKMeans:
         trace = run_kmeans(g, obs, [fv(2, 2), fv(8, 8)], max_rounds=1)
         assert not trace.terminated
         assert trace.T == 1
-        assert trace.flag_step is None
 
     def test_d_bound_below_diameter_rejected(self):
         g = cycle_digraph(6)     # diameter 5
@@ -846,7 +844,7 @@ class TestRunKMeans:
         g = cycle_digraph(5)
         trace = run_kmeans(g, [(i,) for i in range(5)], [fv(0)], d_bound=9)
         assert trace.terminated
-        assert trace.centroid_sets[-1][0] == fv(2)
+        assert trace.rounds[-1].centroids[0] == fv(2)
 
     def test_rejects_too_many_clusters(self):
         g = cycle_digraph(4)
@@ -964,8 +962,8 @@ class TestExperimentsAndSweep:
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert a.T == b.T and a.C_t == b.C_t
-        assert [str(c) for c in a.centroid_sets[-1]] == \
-               [str(c) for c in b.centroid_sets[-1]]
+        assert [str(c) for c in a.rounds[-1].centroids] == \
+               [str(c) for c in b.rounds[-1].centroids]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -1030,7 +1028,6 @@ class TestExperimentsAndSweep:
         cfg = ExperimentConfig(n=10, k=2, dim=2, region=((0, 15), (0, 15)),
                                extra_edge_probability=0.2)
         result = sweep(cfg, 5)
-        assert result.num_seeds == 5
         assert len(result.per_seed) == 5
         assert sum(count for _, count in result.histogram) == 5
         assert result.t_min <= result.t_mean <= result.t_max
