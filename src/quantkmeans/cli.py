@@ -10,25 +10,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .exactmath import FractionVector
 from .graph import diameter, parse_edge_list, serialize_edge_list
 from .kmeans import parse_centroids, parse_observations
 from .oracle import check_equivalence, lloyd_reference
-from .sim import (ExperimentConfig, ProtocolError, generate_centroids,
-                  generate_graph, generate_observations, run_consensus,
-                  run_kmeans, sweep)
+from .sim import (T_SANITY_BAND, ExperimentConfig, ProtocolError,
+                  generate_centroids, generate_graph, generate_observations,
+                  run_consensus, run_kmeans, sweep)
 
 SCHEMA_PREFIX = "quantkmeans"
 
 
-def _config_comment(config: dict) -> str:
-    return "# config: " + json.dumps(config, sort_keys=True)
-
-
 def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
-    lines = [_config_comment(config), ",".join(header)]
+    lines = ["# config: " + json.dumps(config, sort_keys=True),
+             ",".join(header)]
     for row in rows:
         lines.append(",".join(str(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -40,7 +38,15 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _centroid_cell(vector: FractionVector) -> str:
-    return ";".join(str(f) for f in vector.components())
+    return str(vector).replace(" ", ";")
+
+
+def _counters(record) -> dict:
+    """Every field of a trace or round record annotated ``int`` or
+    ``bool``, by name in declaration order: the facts an artifact writes as
+    they are."""
+    return {f.name: getattr(record, f.name) for f in fields(record)
+            if f.type in ("int", "bool")}
 
 
 def _parse_interval(text: str) -> tuple[int, int]:
@@ -182,10 +188,7 @@ def cmd_consensus(args) -> int:
     _write_json(out / "consensus_summary.json", {
         "schema": f"{SCHEMA_PREFIX}-consensus-v1",
         "config": config,
-        "n": trace.n, "m": trace.m, "dim": trace.dim,
-        "steps": trace.steps, "S_t": trace.S_t,
-        "step_bound": trace.step_bound, "bound_ok": trace.bound_ok,
-        "messages": trace.messages,
+        **_counters(trace),
         "average": str(trace.average),
         "estimates": [str(e) for e in trace.estimates],
     })
@@ -238,7 +241,7 @@ def cmd_kmeans(args) -> int:
     trace = run_kmeans(g, observations, centroids,
                        d_bound=config.d_bound, max_rounds=config.max_rounds,
                        log_messages=args.log_messages)
-    config_dict = config.as_dict()
+    config_dict = asdict(config)
     config_dict.update({
         "command": "kmeans",
         "graph_file": args.graph, "observations_file": args.observations,
@@ -249,15 +252,7 @@ def cmd_kmeans(args) -> int:
     summary = {
         "schema": f"{SCHEMA_PREFIX}-kmeans-v1",
         "config": config_dict,
-        "n": trace.n, "m": trace.m, "diameter": trace.diam,
-        "d_bound": trace.d_bound, "k": trace.k, "dim": trace.dim,
-        "T": trace.T, "C_t": trace.C_t, "terminated": trace.terminated,
-        "step_bound": trace.step_bound, "bound_ok": trace.bound_ok,
-        "mass_messages": trace.mass_messages,
-        "extrema_messages": trace.extrema_messages,
-        "max_mass_component": trace.max_mass_component,
-        "mass_payload_bits": trace.mass_payload_bits,
-        "silent_after_stop": trace.silent_after_stop,
+        **_counters(trace),
         "final_centroids": [_centroid_cell(c)
                             for c in trace.rounds[-1].centroids],
         "objective_final": str(trace.rounds[-1].objective),
@@ -275,13 +270,13 @@ def cmd_kmeans(args) -> int:
 
     _write_json(out / "kmeans_summary.json", summary)
     k = trace.k
+    counters = [_counters(r) for r in trace.rounds]
     _write_csv(out / "rounds.csv", config_dict,
-               ["T", "steps", "mass_messages", "extrema_messages",
-                "F_num", "F_den"] + [f"c_{cl}" for cl in range(k)],
-               [(r.T, r.steps, r.mass_messages, r.extrema_messages,
-                 r.objective.numerator, r.objective.denominator,
-                 *[_centroid_cell(c) for c in r.centroids])
-                for r in trace.rounds])
+               [*counters[0], "F_num", "F_den"]
+               + [f"c_{cl}" for cl in range(k)],
+               [(*c.values(), r.objective.numerator, r.objective.denominator,
+                 *map(_centroid_cell, r.centroids))
+                for c, r in zip(counters, trace.rounds)])
     _write_csv(out / "fcurve.csv", config_dict,
                ["T", "F_num", "F_den", "F_float"],
                [(r.T, r.objective.numerator, r.objective.denominator,
@@ -315,28 +310,25 @@ def cmd_sweep(args) -> int:
     config = _experiment_config(args, {})
     result = sweep(config, args.seeds, workers=args.workers)
     out = _out_dir(args)
-    config_dict = config.as_dict()
+    config_dict = asdict(config)
     config_dict.update({"command": "sweep", "num_seeds": args.seeds})
     _write_json(out / "sweep_aggregate.json", {
         "schema": f"{SCHEMA_PREFIX}-sweep-v1",
         "config": config_dict,
         "num_seeds": args.seeds,
         "t_mean": result.t_mean, "t_min": result.t_min, "t_max": result.t_max,
-        "histogram": [list(pair) for pair in result.histogram],
-        "band": list(result.band),
+        "histogram": result.histogram,
+        "band": T_SANITY_BAND,
         "band_violations": result.band_violations,
         "all_bounds_ok": result.all_bounds_ok,
     })
+    columns = ("seed", "graph_seed", "observation_seed", "centroid_seed",
+               "n", "m", "diameter", "T", "C_t", "step_bound", "bound_ok",
+               "mass_messages", "extrema_messages")
     _write_csv(out / "sweep_per_seed.csv", config_dict,
-               ["seed", "graph_seed", "observation_seed", "centroid_seed",
-                "n", "m", "diameter", "T", "C_t", "step_bound", "bound_ok",
-                "mass_messages", "extrema_messages",
-                "F_final", "F_final_float"],
-               [(r["seed"], r["graph_seed"], r["observation_seed"],
-                 r["centroid_seed"], r["n"], r["m"], r["diameter"], r["T"],
-                 r["C_t"], r["step_bound"], r["bound_ok"], r["mass_messages"],
-                 r["extrema_messages"], r["objective_final"],
-                 r["objective_final_float"]) for r in result.per_seed])
+               [*columns, "F_final", "F_final_float"],
+               [(*(r[c] for c in columns), r["objective_final"],
+                 r["objective_curve_float"][-1]) for r in result.per_seed])
     _write_csv(out / "sweep_thist.csv", config_dict, ["T", "count"],
                result.histogram)
     _write_csv(out / "sweep_fmean.csv", config_dict, ["T", "F_mean_float"],
@@ -344,7 +336,7 @@ def cmd_sweep(args) -> int:
     print(f"seeds={args.seeds} t_mean={result.t_mean:.2f} "
           f"t_min={result.t_min} t_max={result.t_max}")
     if result.band_violations:
-        print(f"warning: T outside sanity band {result.band} for seeds "
+        print(f"warning: T outside sanity band {T_SANITY_BAND} for seeds "
               f"{result.band_violations}", file=sys.stderr)
     if not result.all_bounds_ok:
         print("step bound exceeded: C_t is above the paper's bound for seeds "

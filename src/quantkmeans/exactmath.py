@@ -86,8 +86,8 @@ class FractionVector:
         return FractionVector(nums, a * b).reduced()
 
     def __str__(self) -> str:
-        r = self.reduced()
-        return " ".join(f"{v}/{r.den}" for v in r.nums)
+        """Each component reduced, ``num/den``, space separated."""
+        return " ".join(map(str, self.components()))
 
     def __repr__(self) -> str:
         return f"FractionVector({self.nums!r}, {self.den})"

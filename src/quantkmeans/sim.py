@@ -1,35 +1,18 @@
 """Deterministic synchronous-round scheduler and experiment runners.
 
 Every message sent at step t is delivered at step t+1; there is no loss,
-duplication, or reordering.  All nodes advance in lock step, so a run is a
-pure function of (graph, edge orders, initial data) and repeated runs are
-bit-identical.  One engine, ``_LockStep``, runs every round of labeled
-averaging instances; the runners differ only in their stop rule.  It builds
-its own instances and opens a round as the paper's nodes do: each node holds
-its observation as ``x_j/1`` under its label, and the engine's ``emit``
-sends it (an injected pair always passes the trigger).  It delivers,
-triggers, emits and counts every message in one loop over the instances'
-fields, with no per-message method call; the per-node methods of
-``consensus`` and ``kmeans`` are not called on a run, only by the tests that
-hold the engine to them.  Plain averaging is a one-label round that stops
-once every estimate is exact and every remaining mass carries the average; a
-clustering round stops when a stopping window closes with every cluster
-agreed, and that window's verdict (``None`` while any cluster disagrees) is
-the next centroid set.  Mass conservation is checked on every step of plain
-averaging and at every window boundary of a clustering round, and a
-violation fails loudly.  Those checks and the stop rule re-read only the
-(node, label) pairs a step touched, each window's verdict reads the engine's
-held pairs (the injected ones at the opening, later the ones the check has
-just verified), and a whole-state check closes every round.  The runners report whether the
-run kept the protocol's step bound (``bound_ok``; only a run far past it
-raises) and, for clustering, whether the bus stayed silent from the flag
-step on (``silent_after_stop``).
+duplication, or reordering, so a run is a pure function of (graph, edge
+orders, initial data) and repeated runs are bit-identical.  The module
+holds the one lock-step engine, ``_LockStep``; the two runners on it,
+``run_consensus`` (plain averaging) and ``run_kmeans`` (clustering rounds
+closed by stopping windows), which differ only in their stop rule; their
+traces; and the seeded experiment configuration and sweeps.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from math import lcm
 from operator import add, sub
 from typing import Optional, Sequence
@@ -379,7 +362,7 @@ class RoundRecord:
 class KMeansTrace:
     n: int
     m: int
-    diam: int
+    diameter: int
     d_bound: int
     k: int
     dim: int
@@ -523,7 +506,7 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
 
     step_bound = T * round_bound
     return KMeansTrace(
-        n=n, m=g.m, diam=diam, d_bound=window, k=k, dim=dim, rounds=rounds,
+        n=n, m=g.m, diameter=diam, d_bound=window, k=k, dim=dim, rounds=rounds,
         final_assignments=assignments, T=T, C_t=C_t, terminated=terminated,
         step_bound=step_bound, bound_ok=C_t <= step_bound,
         mass_messages=sum(r.mass_messages for r in rounds),
@@ -551,12 +534,6 @@ class ExperimentConfig:
     centroid_seed: int = 3
     d_bound: int | str = "auto"
     max_rounds: int = 100
-
-    def as_dict(self) -> dict:
-        """Every field by name, in declaration order, ``region`` as lists."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["region"] = [list(r) for r in self.region]
-        return out
 
     def validate(self) -> None:
         _check_inputs(self.n, self.k, self.max_rounds, self.dim)
@@ -625,7 +602,6 @@ class SweepResult:
     t_max: int
     histogram: list[tuple[int, int]]
     f_mean_curve: list[float]
-    band: tuple[int, int]
     band_violations: list[int]
     all_bounds_ok: bool
 
@@ -644,20 +620,18 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
             f"sweep seed {index}: no termination within {sub.max_rounds} rounds")
     objectives = [r.objective for r in trace.rounds]
     monotone = all(b <= a for a, b in zip(objectives, objectives[1:]))
-    final = objectives[-1]
     return {
         "seed": index,
         "graph_seed": sub.graph_seed,
         "observation_seed": sub.observation_seed,
         "centroid_seed": sub.centroid_seed,
-        "n": trace.n, "m": trace.m, "diameter": trace.diam,
+        "n": trace.n, "m": trace.m, "diameter": trace.diameter,
         "T": trace.T, "C_t": trace.C_t, "step_bound": trace.step_bound,
         "bound_ok": trace.bound_ok,
         "mass_messages": trace.mass_messages,
         "extrema_messages": trace.extrema_messages,
         "objective_monotone": monotone,
-        "objective_final": str(final),
-        "objective_final_float": float(final),
+        "objective_final": str(objectives[-1]),
         "objective_curve_float": [float(f) for f in objectives],
     }
 
@@ -665,17 +639,20 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
 def sweep(config: ExperimentConfig, num_seeds: int,
           workers: int | None = None) -> SweepResult:
     """Run num_seeds independent experiments with derived seeds and aggregate
-    the calculation counts and objective curves.  Results are merged in seed
-    order, so the aggregate does not depend on the worker count."""
+    the calculation counts and objective curves.  With ``workers`` above 1
+    the seeds run in a pool of at most one process per seed.  Results are
+    merged in seed order, so the aggregate does not depend on the worker
+    count."""
     if num_seeds < 1:
         raise ValueError("num_seeds must be positive")
     if workers is not None and workers < 1:
         raise ValueError("workers must be a positive integer")
     config.validate()
     jobs = [(config, index) for index in range(num_seeds)]
-    if workers is not None and workers > 1:
+    processes = min(workers or 1, num_seeds)
+    if processes > 1:
         import multiprocessing
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        with multiprocessing.get_context("fork").Pool(processes) as pool:
             # ``imap`` yields in seed order, so the lowest failing seed
             # raises, as in the serial loop.
             results = list(pool.imap(_sweep_single, jobs))
@@ -700,5 +677,5 @@ def sweep(config: ExperimentConfig, num_seeds: int,
         per_seed=results,
         t_mean=sum(ts) / len(ts), t_min=min(ts), t_max=max(ts),
         histogram=sorted(histogram.items()), f_mean_curve=f_mean,
-        band=T_SANITY_BAND, band_violations=violations,
+        band_violations=violations,
         all_bounds_ok=all(row["bound_ok"] for row in results))

@@ -1,12 +1,19 @@
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quantkmeans
 from quantkmeans.cli import _experiment_config, build_parser, main
 from quantkmeans.graph import (generate_random_digraph, parse_edge_list,
                                serialize_edge_list)
-from quantkmeans.sim import ExperimentConfig
+from quantkmeans.sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
+                             RoundRecord, run_consensus, run_experiment)
 
 
 def read(path):
@@ -40,6 +47,35 @@ class TestGenGraph:
         with pytest.raises(SystemExit) as err:
             main(["gen-graph"])      # missing --out
         assert err.value.code == 2
+
+    def test_missing_n_is_an_input_error(self, tmp_path, capsys):
+        rc = main(["gen-graph", "-o", str(tmp_path / "g.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --n is required\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestConsoleEntryPoint:
+    """``python -m quantkmeans.cli`` runs ``main`` and exits with its code."""
+
+    def run(self, tmp_path, *args):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(quantkmeans.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "quantkmeans.cli", "gen-graph", *args,
+             "-o", "g.txt"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+
+    def test_success_exits_zero(self, tmp_path):
+        done = self.run(tmp_path, "--n", "5")
+        assert done.returncode == 0
+        assert done.stdout.startswith("n=5 m=") and done.stderr == ""
+        assert parse_edge_list(read(tmp_path / "g.txt")).n == 5
+
+    def test_input_error_exits_one_with_one_line(self, tmp_path):
+        done = self.run(tmp_path)
+        assert done.returncode == 1
+        assert (done.stdout, done.stderr) == ("", "error: --n is required\n")
 
 
 class TestConsensusCommand:
@@ -384,6 +420,83 @@ class TestSweepCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+def counters(cls):
+    """The ``int`` and ``bool`` fields of a trace or record class, in
+    declaration order."""
+    return [f.name for f in dataclasses.fields(cls)
+            if f.type in ("int", "bool")]
+
+
+def embedded_config(csv_text):
+    first = csv_text.splitlines()[0]
+    assert first.startswith("# config: ")
+    return json.loads(first[len("# config: "):])
+
+
+class TestArtifactsFollowTheDataclasses:
+    """Each config, summary and ``rounds.csv`` counter is read off the
+    dataclass that holds it."""
+
+    @pytest.mark.parametrize("command, files, extra", [
+        ("kmeans", ("kmeans_summary.json", "rounds.csv"),
+         {"graph_file", "observations_file", "centroids_file"}),
+        ("sweep", ("sweep_aggregate.json", "sweep_per_seed.csv"),
+         {"num_seeds"})], ids=["kmeans", "sweep"])
+    def test_embedded_config_has_exactly_the_config_fields(
+            self, tmp_path, command, files, extra):
+        assert main([command, "--n", "12", "--k", "2", "--region",
+                     "0:20,-3:4", "--d-bound", "11", "--seed", "4",
+                     "--max-rounds", "50", "--out-dir", str(tmp_path),
+                     *(["--seeds", "1"] if command == "sweep" else [])]) == 0
+        config = json.loads(read(tmp_path / files[0]))["config"]
+        assert embedded_config(read(tmp_path / files[1])) == config
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert set(config) == {*names, "command", *extra}
+        assert config["command"] == command
+        assert config["region"] == [[0, 20], [-3, 4]]
+        ran = ExperimentConfig(n=12, k=2, region=((0, 20), (-3, 4)),
+                               graph_seed=4, observation_seed=5,
+                               centroid_seed=6, d_bound=11, max_rounds=50)
+        assert all(config[name] == getattr(ran, name)
+                   for name in names if name != "region")
+
+    def test_kmeans_summary_and_rounds_header(self, tmp_path):
+        assert main(KMEANS_ARGS + ["--out-dir", str(tmp_path)]) == 0
+        summary = json.loads(read(tmp_path / "kmeans_summary.json"))
+        assert set(summary) == {"schema", "config", *counters(KMeansTrace),
+                                "final_centroids", "objective_final"}
+        # the embedded config reruns the experiment
+        config = {f.name: summary["config"][f.name]
+                  for f in dataclasses.fields(ExperimentConfig)}
+        config["region"] = tuple(map(tuple, config["region"]))
+        trace = run_experiment(ExperimentConfig(**config))
+        assert all(summary[name] == getattr(trace, name)
+                   for name in counters(KMeansTrace))
+        lines = read(tmp_path / "rounds.csv").splitlines()
+        leading = counters(RoundRecord)
+        assert lines[1].split(",") == [*leading, "F_num", "F_den",
+                                       "c_0", "c_1"]
+        assert [line.split(",")[:len(leading)] for line in lines[2:]] == \
+            [[str(getattr(r, name)) for name in leading] for r in trace.rounds]
+
+    def test_consensus_summary(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("3 3\n1 0\n2 1\n0 2\n", encoding="utf-8")
+        values = tmp_path / "v.txt"
+        values.write_text("5 1\n0 2\n0 3\n", encoding="utf-8")
+        assert main(["consensus", "--graph", str(graph), "--values",
+                     str(values), "--out-dir", str(tmp_path)]) == 0
+        summary = json.loads(read(tmp_path / "consensus_summary.json"))
+        assert set(summary) == {"schema", "config",
+                                *counters(ConsensusTrace),
+                                "average", "estimates"}
+        trace = run_consensus(parse_edge_list(read(graph)),
+                              [(5, 1), (0, 2), (0, 3)])
+        assert all(summary[name] == getattr(trace, name)
+                   for name in counters(ConsensusTrace))
+        assert summary["average"] == "5/3 2/1"
+
+
 class TestConfigFile:
     @pytest.mark.parametrize("command", ["kmeans", "sweep", "gen-graph"])
     @pytest.mark.parametrize("line", ["max_round=0", "scale=3"])
@@ -439,6 +552,21 @@ class TestConfigFile:
         assert summary["config"]["graph_seed"] == 5
         assert (summary["n"], summary["m"]) == (10, parse_edge_list(
             read(graph)).m)
+
+    @pytest.mark.parametrize("command", ["kmeans", "sweep", "gen-graph"])
+    def test_line_without_equals_is_an_input_error(self, tmp_path, capsys,
+                                                   command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=6\nk 2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = {"kmeans": ["--out-dir", str(out)],
+                "sweep": ["--seeds", "1", "--out-dir", str(out)],
+                "gen-graph": ["--out", str(out / "g.txt")]}[command]
+        rc = main([command, "--config", str(cfg), *args])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "error: config line 2: expected key=value\n"
+        assert not out.exists()
 
     def test_consensus_takes_no_config_file(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -529,8 +657,8 @@ class TestArtifactsPinned:
         assert digests(tmp_path) == {
             "consensus_messages.csv": "5a492c2bd17ee8a2fbdbebce66d8d5e8"
                                       "75750da9967677de9903ff33b835d7fa",
-            "consensus_summary.json": "9893b31e625ebaf26fe25f81602b520a"
-                                      "b56b9038869f4a06d28d96a47f0649d3",
+            "consensus_summary.json": "326d320f2ea9032fa65dd7aa4d73b7a5"
+                                      "94edaff85b2a19b34e20f7686f032c04",
             "consensus_trace.csv": "37a5241d47ae4643c190f6bc084f1e3d"
                                    "ad025f443e13953c1702319316a3ede0",
             "g.txt": "acff5e2cc9760c8ca32950cc60fa49d9"

@@ -128,7 +128,7 @@ class TestFiles:
 
     def test_centroid_round_trip(self):
         # the ``num/den`` text every artifact writes a centroid in
-        text = "1/2 6/2\n-4/1 1/1\n-2/6 15/6\n"
+        text = "1/2 3/1\n-4/1 1/1\n-1/3 5/2\n"
         rows = parse_centroids(text)
         assert rows == [fv(1, 6, den=2), fv(-4, 1), fv(-2, 15, den=6)]
         assert "".join(f"{c}\n" for c in rows) == text

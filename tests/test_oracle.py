@@ -91,7 +91,7 @@ class TestEquivalence:
         assert not report.passed
         # (0, 0) joins cluster 0 under the low rule, cluster 1 under the high
         assert report.detail == ("round 1 cluster 0: distributed 4/3 1/3 vs "
-                                 "reference 4/2 1/2")
+                                 "reference 2/1 1/2")
 
     def test_calculation_count_mismatch_is_reported(self):
         g, obs, cents = self._tie_instance()

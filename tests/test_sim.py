@@ -1,4 +1,3 @@
-import dataclasses
 import fractions
 import itertools
 import random
@@ -33,6 +32,29 @@ def ladder_digraph(n):
     s = n - 1
     edges = [(i + 1, i) for i in range(n - 2)] + [(s, n - 2), (0, s)]
     return Digraph(n, edges + [(s, i) for i in range(n - 2)])
+
+
+def stationary_distribution(g):
+    """The exact stationary distribution of the uniform random walk on
+    ``g`` (each out-edge taken with probability ``1/outdeg``): Gauss-Jordan
+    over ``fractions.Fraction`` on ``pi = pi P`` with one equation replaced
+    by ``sum(pi) = 1``."""
+    n = g.n
+    rows = [[fractions.Fraction(0)] * (n + 1) for _ in range(n)]
+    for i in range(n):
+        rows[i][i] -= 1
+        for j in g.out_neighbors(i):
+            rows[j][i] += fractions.Fraction(1, len(g.out_neighbors(i)))
+    rows[-1] = [fractions.Fraction(1)] * (n + 1)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[-1] for row in rows]
 
 
 def eight_node_counterexample():
@@ -133,6 +155,14 @@ class TestRunConsensus:
         assert trace.step_bound == step_bound
         assert trace.bound_ok is bound_ok
         assert all(e == brute_average(values) for e in trace.estimates)
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_ladder_return_time_doubles_per_node(self, n):
+        # the rarest node's mean return time 1/pi_min, which the ladder's
+        # S_t above tracks; it doubles with each node
+        pi = stationary_distribution(ladder_digraph(n))
+        assert sum(pi) == 1 and min(pi) > 0
+        assert 1 / min(pi) == 3 * 2 ** (n - 2) - 1
 
     def test_eight_node_overshoot_is_reported(self):
         g, values = eight_node_counterexample()
@@ -735,6 +765,21 @@ def test_edge_orders_of_another_graph_rejected(other, runner):
             run_kmeans(g, obs, [fv(0, 0), fv(2, 7)], orders=orders)
 
 
+class TestVectorInputRules:
+    @pytest.mark.parametrize("values, message", [
+        ([(1,), (2,), (3,)], "one vector per node is required"),
+        ([(1,), (2, 3), (4,), (5,)], "vectors must share one dimension")])
+    @pytest.mark.parametrize("runner", ["consensus", "kmeans"])
+    def test_rejected_by_both_runners(self, runner, values, message):
+        g = cycle_digraph(4)
+        with pytest.raises(ValueError) as exc:
+            if runner == "consensus":
+                run_consensus(g, values)
+            else:
+                run_kmeans(g, values, [fv(0)])
+        assert str(exc.value) == message
+
+
 class TestRunKMeans:
     def test_single_cluster_needs_two_calculations(self):
         g = generate_random_digraph(5, 0.2, seed=8)
@@ -1016,13 +1061,34 @@ class TestExperimentsAndSweep:
             sweep(ExperimentConfig(n=10), 0)
         assert str(exc.value) == "num_seeds must be positive"
 
-    def test_as_dict_has_exactly_the_config_fields(self):
-        cfg = ExperimentConfig(n=12, region=((0, 20), (-3, 4)), d_bound=7)
-        out = cfg.as_dict()
-        assert list(out) == [f.name for f in dataclasses.fields(cfg)]
-        assert out["region"] == [[0, 20], [-3, 4]]
-        assert all(out[name] == getattr(cfg, name)
-                   for name in out if name != "region")
+    def test_pool_is_never_larger_than_the_seed_count(self, monkeypatch):
+        import multiprocessing
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, func, jobs):
+                return map(func, jobs)
+
+        class Context:
+            Pool = SerialPool
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: Context)
+        cfg = ExperimentConfig(n=10, k=2, extra_edge_probability=0.2)
+        serial = sweep(cfg, 2)
+        assert sweep(cfg, 2, workers=8).per_seed == serial.per_seed
+        assert sizes == [2]
+        assert sweep(cfg, 1, workers=8).per_seed == serial.per_seed[:1]
+        assert sizes == [2]     # one seed runs in this process
 
     def test_small_sweep_aggregates(self):
         cfg = ExperimentConfig(n=10, k=2, dim=2, region=((0, 15), (0, 15)),
