@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .exactmath import FractionVector
 from .graph import diameter, parse_edge_list, serialize_edge_list
 from .kmeans import parse_centroids, parse_observations
 from .oracle import check_equivalence, lloyd_reference
-from .sim import (T_SANITY_BAND, ExperimentConfig, ProtocolError,
+from .sim import (T_SANITY_BAND, ExperimentConfig, ProtocolError, counters,
                   generate_centroids, generate_graph, generate_observations,
                   run_consensus, run_kmeans, sweep)
 
@@ -41,12 +41,13 @@ def _centroid_cell(vector: FractionVector) -> str:
     return str(vector).replace(" ", ";")
 
 
-def _counters(record) -> dict:
-    """Every field of a trace or round record annotated ``int`` or
-    ``bool``, by name in declaration order: the facts an artifact writes as
-    they are."""
-    return {f.name: getattr(record, f.name) for f in fields(record)
-            if f.type in ("int", "bool")}
+def _read_input(path: str, parse):
+    """``parse`` applied to the text of the file at ``path``; an error in
+    the text names the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_interval(text: str) -> tuple[int, int]:
@@ -64,15 +65,15 @@ def _d_bound_value(text: str):
 
 
 # dest -> (flag, converter, help).  The dests are also the only keys a
-# ``--config`` file may set; ``box`` and ``region`` stay text until the
-# dimension is known.
+# ``--config`` file may set; ``region`` stays text until the dimension is
+# known.
 _SETTINGS = {
     "n": ("--n", int, "number of nodes"),
     "k": ("--k", int, "number of clusters"),
     "dim": ("--dim", int, "observation dimension"),
     "p": ("--p", float, "extra-edge probability"),
-    "box": ("--box", str, "LO:HI applied to every dimension"),
-    "region": ("--region", str, "per-dimension LO:HI list, comma separated"),
+    "region": ("--region", str, "LO:HI for every dimension, or one LO:HI "
+                                "per dimension, comma separated"),
     "seed": ("--seed", int, "base seed; graph/observation/centroid seeds "
                             "default to seed, seed+1, seed+2"),
     "graph_seed": ("--graph-seed", int, None),
@@ -117,7 +118,6 @@ def _experiment_config(args, implied: dict[str, int]) -> ExperimentConfig:
     fields = {dest: getattr(args, dest) for dest in _SETTINGS
               if getattr(args, dest, None) is not None}
     base_seed = fields.pop("seed", None)
-    box = fields.pop("box", None)
     region = fields.pop("region", None)
     if "p" in fields:
         fields["extra_edge_probability"] = fields.pop("p")
@@ -131,15 +131,11 @@ def _experiment_config(args, implied: dict[str, int]) -> ExperimentConfig:
                 ("graph_seed", "observation_seed", "centroid_seed")):
             fields.setdefault(field, base_seed + offset)
     dim = fields.get("dim", ExperimentConfig.dim)
-    if region is not None and box is not None:
-        raise ValueError("box and region cannot both be set")
     if region is not None:
-        fields["region"] = tuple(_parse_interval(part)
-                                 for part in region.split(","))
-    elif box is not None:
-        fields["region"] = (_parse_interval(box),) * dim
+        intervals = tuple(_parse_interval(part) for part in region.split(","))
+        fields["region"] = intervals * dim if len(intervals) == 1 else intervals
     elif "dim" in fields:
-        # the default region's box on every dimension
+        # the default region's first interval on every dimension
         fields["region"] = ExperimentConfig.region[:1] * dim
     return ExperimentConfig(**fields)
 
@@ -177,8 +173,8 @@ def cmd_gen_graph(args) -> int:
 
 
 def cmd_consensus(args) -> int:
-    g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
-    values = parse_observations(Path(args.values).read_text(encoding="utf-8"))
+    g = _read_input(args.graph, parse_edge_list)
+    values = _read_input(args.values, parse_observations)
     trace = run_consensus(g, values, log_messages=args.log_messages)
     out = _out_dir(args)
     config = {
@@ -188,7 +184,7 @@ def cmd_consensus(args) -> int:
     _write_json(out / "consensus_summary.json", {
         "schema": f"{SCHEMA_PREFIX}-consensus-v1",
         "config": config,
-        **_counters(trace),
+        **counters(trace),
         "average": str(trace.average),
         "estimates": [str(e) for e in trace.estimates],
     })
@@ -214,15 +210,14 @@ def _read_kmeans_inputs(args):
     g = observations = centroids = None
     implied: dict[str, int] = {}
     if args.graph is not None:
-        g = parse_edge_list(Path(args.graph).read_text(encoding="utf-8"))
+        g = _read_input(args.graph, parse_edge_list)
         implied["n"] = g.n
     if args.observations is not None:
-        observations = parse_observations(
-            Path(args.observations).read_text(encoding="utf-8"))
+        observations = _read_input(args.observations, parse_observations)
         implied.setdefault("n", len(observations))
         implied["dim"] = len(observations[0])
     if args.centroids is not None:
-        centroids = parse_centroids(Path(args.centroids).read_text(encoding="utf-8"))
+        centroids = _read_input(args.centroids, parse_centroids)
         implied["k"] = len(centroids)
         implied.setdefault("dim", centroids[0].dim)
     return g, observations, centroids, implied
@@ -247,36 +242,29 @@ def cmd_kmeans(args) -> int:
         "graph_file": args.graph, "observations_file": args.observations,
         "centroids_file": args.centroids,
     })
+    report = check_equivalence(trace, lloyd_reference(
+        observations, centroids, max_rounds=config.max_rounds))
+    equivalence = "pass" if report.passed else "fail"
+    print(f"equivalence: {equivalence}")
     out = _out_dir(args)
-
-    summary = {
+    _write_json(out / "kmeans_summary.json", {
         "schema": f"{SCHEMA_PREFIX}-kmeans-v1",
         "config": config_dict,
-        **_counters(trace),
+        **counters(trace),
         "final_centroids": [_centroid_cell(c)
                             for c in trace.rounds[-1].centroids],
         "objective_final": str(trace.rounds[-1].objective),
-    }
-    exit_code = 0
-    if args.oracle_check:
-        reference = lloyd_reference(observations, centroids,
-                                    max_rounds=config.max_rounds)
-        report = check_equivalence(trace, reference)
-        summary["equivalence"] = "pass" if report.passed else "fail"
-        summary["equivalence_detail"] = report.detail
-        if not report.passed:
-            exit_code = 1
-        print(f"equivalence: {summary['equivalence']}")
-
-    _write_json(out / "kmeans_summary.json", summary)
+        "equivalence": equivalence,
+        "equivalence_detail": report.detail,
+    })
     k = trace.k
-    counters = [_counters(r) for r in trace.rounds]
+    per_round = [counters(r) for r in trace.rounds]
     _write_csv(out / "rounds.csv", config_dict,
-               [*counters[0], "F_num", "F_den"]
+               [*per_round[0], "F_num", "F_den"]
                + [f"c_{cl}" for cl in range(k)],
                [(*c.values(), r.objective.numerator, r.objective.denominator,
                  *map(_centroid_cell, r.centroids))
-                for c, r in zip(counters, trace.rounds)])
+                for c, r in zip(per_round, trace.rounds)])
     _write_csv(out / "fcurve.csv", config_dict,
                ["T", "F_num", "F_den", "F_float"],
                [(r.T, r.objective.numerator, r.objective.denominator,
@@ -302,8 +290,7 @@ def cmd_kmeans(args) -> int:
     if not trace.bound_ok:
         print(f"step bound exceeded: C_t={trace.C_t} is above the paper's "
               f"bound {trace.step_bound}", file=sys.stderr)
-        exit_code = 1
-    return exit_code
+    return 0 if report.passed and trace.bound_ok else 1
 
 
 def cmd_sweep(args) -> int:
@@ -322,13 +309,13 @@ def cmd_sweep(args) -> int:
         "band_violations": result.band_violations,
         "all_bounds_ok": result.all_bounds_ok,
     })
-    columns = ("seed", "graph_seed", "observation_seed", "centroid_seed",
-               "n", "m", "diameter", "T", "C_t", "step_bound", "bound_ok",
-               "mass_messages", "extrema_messages")
+    # one column per scalar row key, then the final objective as a float
+    columns = [key for key, value in result.per_seed[0].items()
+               if not isinstance(value, list)]
     _write_csv(out / "sweep_per_seed.csv", config_dict,
-               [*columns, "F_final", "F_final_float"],
-               [(*(r[c] for c in columns), r["objective_final"],
-                 r["objective_curve_float"][-1]) for r in result.per_seed])
+               [*columns, "objective_final_float"],
+               [(*(r[c] for c in columns), r["objective_curve_float"][-1])
+                for r in result.per_seed])
     _write_csv(out / "sweep_thist.csv", config_dict, ["T", "count"],
                result.histogram)
     _write_csv(out / "sweep_fmean.csv", config_dict, ["T", "F_mean_float"],
@@ -380,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     km.add_argument("--observations", help="observations file (else generated)")
     km.add_argument("--centroids", help="initial centroids file (else generated)")
     add_settings(km, _SETTINGS)
-    km.add_argument("--oracle-check", action="store_true",
-                    help="also run the centralized reference and compare")
     km.add_argument("--log-messages", action="store_true")
     km.add_argument("--out-dir", default=".", help="output directory")
     km.set_defaults(func=cmd_kmeans)

@@ -12,7 +12,7 @@ traces; and the seeded experiment configuration and sweeps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import lcm
 from operator import add, sub
 from typing import Optional, Sequence
@@ -381,6 +381,14 @@ class KMeansTrace:
     message_log: Optional[list[tuple[int, int, int, int, int, tuple[int, ...]]]] = None
 
 
+def counters(record) -> dict:
+    """Every field of a trace or round record annotated ``int`` or
+    ``bool``, by name in declaration order: the facts an artifact or a sweep
+    row holds as they are."""
+    return {f.name: getattr(record, f.name) for f in fields(record)
+            if f.type in ("int", "bool")}
+
+
 def distance_objective(observations: Sequence[Sequence[int]],
                        assignments: Sequence[int],
                        centroids: Sequence[FractionVector]) -> Fraction:
@@ -625,11 +633,7 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
         "graph_seed": sub.graph_seed,
         "observation_seed": sub.observation_seed,
         "centroid_seed": sub.centroid_seed,
-        "n": trace.n, "m": trace.m, "diameter": trace.diameter,
-        "T": trace.T, "C_t": trace.C_t, "step_bound": trace.step_bound,
-        "bound_ok": trace.bound_ok,
-        "mass_messages": trace.mass_messages,
-        "extrema_messages": trace.extrema_messages,
+        **counters(trace),
         "objective_monotone": monotone,
         "objective_final": str(objectives[-1]),
         "objective_curve_float": [float(f) for f in objectives],

@@ -184,7 +184,7 @@ def test_criterion_7_transmission_stopping(kmeans_batch):
 def test_criterion_8_desk_scale_experiment(tmp_path, sweep_result):
     out = tmp_path / "fig"
     rc = cli_main(["kmeans", "--n", "100", "--k", "3", "--p", "0.05",
-                   "--box", "0:50", "--seed", "11", "--out-dir", str(out)])
+                   "--region", "0:50", "--seed", "11", "--out-dir", str(out)])
     assert rc == 0
     summary = json.loads((out / "kmeans_summary.json").read_text())
     assert summary["terminated"] is True
@@ -207,7 +207,7 @@ def test_criterion_8_desk_scale_experiment(tmp_path, sweep_result):
 
 
 def test_criterion_9_byte_identical_reruns(tmp_path):
-    args = ["kmeans", "--n", "40", "--k", "3", "--p", "0.1", "--box", "0:50",
+    args = ["kmeans", "--n", "40", "--k", "3", "--p", "0.1", "--region", "0:50",
             "--seed", "21", "--max-rounds", "100"]
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(args + ["--out-dir", str(dir_a)]) == 0

@@ -9,11 +9,13 @@ from pathlib import Path
 import pytest
 
 import quantkmeans
+from quantkmeans import sim
 from quantkmeans.cli import _experiment_config, build_parser, main
 from quantkmeans.graph import (generate_random_digraph, parse_edge_list,
                                serialize_edge_list)
 from quantkmeans.sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
-                             RoundRecord, run_consensus, run_experiment)
+                             RoundRecord, config_for_seed, run_consensus,
+                             run_experiment, sweep)
 
 
 def read(path):
@@ -117,12 +119,12 @@ class TestConsensusCommand:
 
 
 KMEANS_ARGS = ["kmeans", "--n", "14", "--k", "2", "--p", "0.2",
-               "--box", "0:20", "--seed", "7", "--max-rounds", "50"]
+               "--region", "0:20", "--seed", "7", "--max-rounds", "50"]
 
 
 class TestKMeansCommand:
     def test_run_emits_all_artifacts(self, tmp_path):
-        rc = main(KMEANS_ARGS + ["--oracle-check", "--out-dir", str(tmp_path)])
+        rc = main(KMEANS_ARGS + ["--out-dir", str(tmp_path)])
         assert rc == 0
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
         assert summary["terminated"] is True
@@ -134,6 +136,22 @@ class TestKMeansCommand:
             content = read(tmp_path / name)
             assert content.startswith("# config:")
 
+    def test_run_unequal_to_lloyd_fails_its_check(self, tmp_path, capsys,
+                                                  monkeypatch):
+        finalize_round = sim.finalize_round
+
+        def swapped(verdict, current):
+            centroids, unchanged = finalize_round(verdict, current)
+            return centroids[::-1], unchanged
+
+        monkeypatch.setattr(sim, "finalize_round", swapped)
+        rc = main(KMEANS_ARGS + ["--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().out.startswith("equivalence: fail\n")
+        summary = json.loads(read(tmp_path / "kmeans_summary.json"))
+        assert summary["equivalence"] == "fail"
+        assert summary["equivalence_detail"].startswith("round 1 cluster 0: ")
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         main(KMEANS_ARGS + ["--out-dir", str(dir_a)])
@@ -144,7 +162,7 @@ class TestKMeansCommand:
 
     def test_max_rounds_one_reports_early_stop(self, tmp_path):
         rc = main(["kmeans", "--n", "10", "--k", "2", "--p", "0.3",
-                   "--box", "0:30", "--seed", "1", "--max-rounds", "1",
+                   "--region", "0:30", "--seed", "1", "--max-rounds", "1",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
@@ -158,7 +176,7 @@ class TestKMeansCommand:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=14\nk=2\np=0.2\nbox=0:20\nseed=7\nmax-rounds=50\n",
+        cfg.write_text("n=14\nk=2\np=0.2\nregion=0:20\nseed=7\nmax-rounds=50\n",
                        encoding="utf-8")
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         rc = main(["kmeans", "--config", str(cfg), "--out-dir", str(dir_a)])
@@ -184,8 +202,7 @@ class TestKMeansCommand:
         cents = tmp_path / "cents.txt"
         cents.write_text("0 0\n7 7\n", encoding="utf-8")
         rc = main(["kmeans", "--graph", str(graph), "--observations", str(obs),
-                   "--centroids", str(cents), "--oracle-check",
-                   "--out-dir", str(tmp_path)])
+                   "--centroids", str(cents), "--out-dir", str(tmp_path)])
         assert rc == 0
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
         assert summary["equivalence"] == "pass"
@@ -205,7 +222,7 @@ class TestKMeansCommand:
 
     def test_config_records_what_the_input_files_imply(self, tmp_path):
         out = tmp_path / "out"
-        rc = main(["kmeans", *self.write_inputs(tmp_path), "--box", "0:5",
+        rc = main(["kmeans", *self.write_inputs(tmp_path), "--region", "0:5",
                    "--out-dir", str(out)])
         assert rc == 0
         summary = json.loads(read(out / "kmeans_summary.json"))
@@ -243,41 +260,49 @@ class TestKMeansCommand:
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == "error: line 2: bad centroid coordinate\n"
+        assert err == f"error: {cents}: line 2: bad centroid coordinate\n"
 
-    @pytest.mark.parametrize("flag, value", [("--box", "5"), ("--box", "0:x"),
-                                             ("--region", "0:5,7")])
+    @pytest.mark.parametrize("value", ["5", "0:x", "0:5,7"])
     def test_malformed_interval_names_expected_form(self, tmp_path, capsys,
-                                                    flag, value):
-        rc = main(["kmeans", "--n", "8", "--k", "2", flag, value,
+                                                    value):
+        rc = main(["kmeans", "--n", "8", "--k", "2", "--region", value,
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("error: bad interval") and "LO:HI" in err
 
-    @pytest.mark.parametrize("source", ["flags", "config"])
-    def test_box_with_region_is_an_input_error(self, tmp_path, capsys,
-                                                source):
-        args = ["kmeans", "--n", "5", "--k", "2", "--dim", "2",
-                "--region", "0:3,0:3"]
-        if source == "flags":
-            args += ["--box", "1:2"]
-        else:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text("box=1:2\n", encoding="utf-8")
-            args += ["--config", str(cfg)]
-        out = tmp_path / "out"
-        rc = main(args + ["--out-dir", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == \
-            "error: box and region cannot both be set\n"
-        assert not out.exists()
+    @pytest.mark.parametrize("flags", [["--box", "1:2"], ["--oracle-check"]],
+                             ids=["box", "oracle-check"])
+    def test_deleted_flags_are_usage_errors(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as err:
+            main(["kmeans", "--n", "5", "--k", "2", *flags,
+                  "--out-dir", str(tmp_path)])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["kmeans", "sweep"])
+    def test_one_region_interval_applies_to_every_dimension(self, command):
+        parser = build_parser()
+
+        def config(region):
+            return _experiment_config(parser.parse_args(
+                [command, "--region", region, "--dim", "3"]), {})
+
+        assert config("0:7") == config("0:7,0:7,0:7") == \
+            ExperimentConfig(dim=3, region=((0, 7),) * 3)
+
+    def test_one_interval_runs_at_the_default_dimension(self, tmp_path):
+        rc = main(["kmeans", "--n", "5", "--k", "2", "--region", "0:3",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 0
+        summary = json.loads(read(tmp_path / "kmeans_summary.json"))
+        assert summary["config"]["region"] == [[0, 3], [0, 3]]
 
     def test_dim_without_one_interval_each_is_an_input_error(self, tmp_path,
                                                             capsys):
         rc = main(["kmeans", "--n", "6", "--k", "2", "--dim", "3",
-                   "--region", "0:5", "--out-dir", str(tmp_path)])
+                   "--region", "0:5,0:5", "--out-dir", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: one region interval per dimension is required\n"
@@ -293,7 +318,7 @@ class TestKMeansCommand:
     def test_zero_dimensions_is_an_input_error(self, tmp_path, capsys,
                                                command, flags, message):
         rc = main([command, "--n", "6", "--k", "2", *flags,
-                   "--box", "0:5", "--out-dir", str(tmp_path)])
+                   "--region", "0:5", "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
@@ -328,7 +353,7 @@ class TestStepBoundViolation:
     def test_sweep_reports_and_exits_nonzero(self, tmp_path, capsys,
                                              over_step_bound):
         rc = main(["sweep", "--n", "10", "--k", "2", "--p", "0.25",
-                   "--box", "0:15", "--seed", "3", "--seeds", "2",
+                   "--region", "0:15", "--seed", "3", "--seeds", "2",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         aggregate = json.loads(read(tmp_path / "sweep_aggregate.json"))
@@ -356,6 +381,39 @@ class TestGraphInputErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestInputFileErrors:
+    """A parse error names the file it is in."""
+
+    @pytest.mark.parametrize("command, flag, text, message", [
+        ("kmeans", "--graph", "6 x\n", "line 1: header fields must be integers"),
+        ("kmeans", "--observations", "0 0\n1 a\n",
+         "line 2: observations must be integers"),
+        ("kmeans", "--centroids", "0 0\n1.5 7\n",
+         "line 2: bad centroid coordinate"),
+        ("consensus", "--values", "2\n\n4 x\n",
+         "line 3: observations must be integers")])
+    def test_error_names_the_file(self, tmp_path, capsys, command, flag, text,
+                                  message):
+        inputs = {"--graph": "6 6\n" + "".join(f"{(i + 1) % 6} {i}\n"
+                                               for i in range(6)),
+                  "--observations": "0 0\n1 1\n2 2\n8 8\n9 9\n10 10\n",
+                  "--centroids": "0 0\n9 9\n",
+                  "--values": "1\n2\n3\n4\n5\n6\n"}
+        inputs[flag] = text
+        flags = {"kmeans": ("--graph", "--observations", "--centroids"),
+                 "consensus": ("--graph", "--values")}[command]
+        args = [command]
+        for name in flags:
+            path = tmp_path / f"{name[2:]}.txt"
+            path.write_text(inputs[name], encoding="utf-8")
+            args += [name, str(path)]
+        out = tmp_path / "out"
+        assert main(args + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {tmp_path / (flag[2:] + '.txt')}: {message}\n"
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_unset_flags_keep_the_config_defaults(self):
         parser = build_parser()
@@ -367,7 +425,7 @@ class TestSweepCommand:
 
     def test_small_sweep(self, tmp_path):
         args = ["sweep", "--n", "10", "--k", "2", "--p", "0.25",
-                "--box", "0:15", "--seed", "3", "--seeds", "3",
+                "--region", "0:15", "--seed", "3", "--seeds", "3",
                 "--out-dir", str(tmp_path)]
         rc = main(args)
         assert rc == 0
@@ -381,7 +439,7 @@ class TestSweepCommand:
 
     def test_sweep_outputs_are_deterministic(self, tmp_path):
         base = ["sweep", "--n", "10", "--k", "2", "--p", "0.25",
-                "--box", "0:15", "--seed", "3", "--seeds", "3"]
+                "--region", "0:15", "--seed", "3", "--seeds", "3"]
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         main(base + ["--out-dir", str(dir_a)])
         main(base + ["--out-dir", str(dir_b)])
@@ -392,7 +450,7 @@ class TestSweepCommand:
     def test_protocol_error_names_its_seed(self, tmp_path, capsys,
                                            delivery_leak):
         rc = main(["sweep", "--n", "10", "--k", "2", "--p", "0.25",
-                   "--box", "0:15", "--seed", "3", "--seeds", "2",
+                   "--region", "0:15", "--seed", "3", "--seeds", "2",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == \
@@ -464,7 +522,10 @@ class TestArtifactsFollowTheDataclasses:
         assert main(KMEANS_ARGS + ["--out-dir", str(tmp_path)]) == 0
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
         assert set(summary) == {"schema", "config", *counters(KMeansTrace),
-                                "final_centroids", "objective_final"}
+                                "final_centroids", "objective_final",
+                                "equivalence", "equivalence_detail"}
+        assert (summary["equivalence"], summary["equivalence_detail"]) == \
+            ("pass", "identical centroid sequences")
         # the embedded config reruns the experiment
         config = {f.name: summary["config"][f.name]
                   for f in dataclasses.fields(ExperimentConfig)}
@@ -478,6 +539,29 @@ class TestArtifactsFollowTheDataclasses:
                                        "c_0", "c_1"]
         assert [line.split(",")[:len(leading)] for line in lines[2:]] == \
             [[str(getattr(r, name)) for name in leading] for r in trace.rounds]
+
+    def test_sweep_rows_and_per_seed_header(self, tmp_path):
+        flags = ["--n", "10", "--k", "2", "--p", "0.25", "--region", "0:15",
+                 "--seed", "3"]
+        assert main(["sweep", *flags, "--seeds", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        config = _experiment_config(build_parser().parse_args(
+            ["sweep", *flags]), {})
+        rows = sweep(config, 2).per_seed
+        keys = ["seed", "graph_seed", "observation_seed", "centroid_seed",
+                *counters(KMeansTrace), "objective_monotone",
+                "objective_final", "objective_curve_float"]
+        assert [list(row) for row in rows] == [keys, keys]
+        for row in rows:
+            trace = run_experiment(config_for_seed(config, row["seed"]))
+            assert all(row[name] == getattr(trace, name)
+                       for name in counters(KMeansTrace))
+        lines = read(tmp_path / "sweep_per_seed.csv").splitlines()
+        columns = keys[:-1]
+        assert lines[1].split(",") == [*columns, "objective_final_float"]
+        assert [line.split(",") for line in lines[2:]] == \
+            [[*(str(row[c]) for c in columns),
+              str(row["objective_curve_float"][-1])] for row in rows]
 
     def test_consensus_summary(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -499,13 +583,13 @@ class TestArtifactsFollowTheDataclasses:
 
 class TestConfigFile:
     @pytest.mark.parametrize("command", ["kmeans", "sweep", "gen-graph"])
-    @pytest.mark.parametrize("line", ["max_round=0", "scale=3"])
+    @pytest.mark.parametrize("line", ["max_round=0", "scale=3", "box=0:5"])
     def test_unknown_key_is_an_input_error(self, tmp_path, capsys, command,
                                            line):
-        # a misspelt key, and the deleted scale knob, must not fall back
-        # to the defaults
+        # a misspelt key, and the deleted scale and box settings, must not
+        # fall back to the defaults
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"n=6\nk=2\n# comment\nbox=0:5\n{line}\n",
+        cfg.write_text(f"n=6\nk=2\n# comment\nregion=0:5\n{line}\n",
                        encoding="utf-8")
         out = tmp_path / "out"
         args = {"kmeans": ["--out-dir", str(out)],
@@ -525,7 +609,7 @@ class TestConfigFile:
                                      value):
         cfg = tmp_path / "run.cfg"
         valid = "" if key == "n" else "n=6\n"
-        cfg.write_text(f"{valid}k=2\nbox=0:5\n{key}={value}\n",
+        cfg.write_text(f"{valid}k=2\nregion=0:5\n{key}={value}\n",
                        encoding="utf-8")
         out = tmp_path / "out"
         args = {"kmeans": ["--out-dir", str(out)],
@@ -578,16 +662,16 @@ class TestConfigFile:
 
     def test_repeated_key_last_value_wins(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=6\nk=2\nbox=0:5\nn=8\n", encoding="utf-8")
+        cfg.write_text("n=6\nk=2\nregion=0:5\nn=8\n", encoding="utf-8")
         assert main(["kmeans", "--config", str(cfg),
                      "--out-dir", str(tmp_path)]) == 0
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
         assert (summary["config"]["n"], summary["n"]) == (8, 8)
 
     def test_every_documented_key_is_accepted(self, tmp_path):
-        # box and region are exclusive, so each gets its own file
+        # one interval for every dimension, or one per dimension
         cfg = tmp_path / "run.cfg"
-        for interval in ("region=0:9,0:9", "box=0:9"):
+        for interval in ("region=0:9,0:9", "region=0:9"):
             cfg.write_text(f"n=8\nk=2\ndim=2\np=0.3\n{interval}\n"
                            "seed=4\ngraph-seed=5\nobservation_seed=6\n"
                            "centroid_seed=7\nd_bound=auto\nmax_rounds=20\n",
@@ -596,7 +680,7 @@ class TestConfigFile:
                          "--out-dir", str(tmp_path)]) == 0
 
 
-PIN_FLAGS = ["--n", "16", "--k", "3", "--p", "0.2", "--box", "0:30",
+PIN_FLAGS = ["--n", "16", "--k", "3", "--p", "0.2", "--region", "0:30",
              "--seed", "8"]
 
 
@@ -612,8 +696,7 @@ class TestArtifactsPinned:
 
     def test_kmeans(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert main(["kmeans", *PIN_FLAGS, "--oracle-check",
-                     "--log-messages"]) == 0
+        assert main(["kmeans", *PIN_FLAGS, "--log-messages"]) == 0
         assert capsys.readouterr().out == \
             "equivalence: pass\nT=7 C_t=211 terminated=True\n"
         assert digests(tmp_path) == {
@@ -639,8 +722,8 @@ class TestArtifactsPinned:
                                     "910894c3fffd18a476b5dc3a90637d57",
             "sweep_fmean.csv": "14c8974b98a66fc22c5d18d272017ea6"
                                "fbcc54db624731edeb3da3807aa714fc",
-            "sweep_per_seed.csv": "48c7a81e6d0d50f0ce4c3324c746dae9"
-                                  "92dd2dc206a270f8ee36471f8c511b2e",
+            "sweep_per_seed.csv": "188d3aebd7a26ea4acd4cb97f84cc136"
+                                  "235897b78479a1893805e2f2b0ec23ce",
             "sweep_thist.csv": "7bad4eb2134a3e557fff5e48a47516d7"
                                "46a7aee1d3c47f1799b9b8a5c051f7ee",
         }
