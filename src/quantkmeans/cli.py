@@ -64,24 +64,29 @@ def _d_bound_value(text: str):
     return text if text == "auto" else int(text)
 
 
-# dest -> (flag, converter, help).  The dests are also the only keys a
-# ``--config`` file may set; ``region`` stays text until the dimension is
-# known.
+# setting -> (converter, help).  Each name but ``seed`` is an
+# ``ExperimentConfig`` field; the flag is ``--`` plus the name with dashes,
+# and the names are also the only keys a ``--config`` file may set.
+# ``region`` stays text until the dimension is known.
 _SETTINGS = {
-    "n": ("--n", int, "number of nodes"),
-    "k": ("--k", int, "number of clusters"),
-    "dim": ("--dim", int, "observation dimension"),
-    "p": ("--p", float, "extra-edge probability"),
-    "region": ("--region", str, "LO:HI for every dimension, or one LO:HI "
-                                "per dimension, comma separated"),
-    "seed": ("--seed", int, "base seed; graph/observation/centroid seeds "
-                            "default to seed, seed+1, seed+2"),
-    "graph_seed": ("--graph-seed", int, None),
-    "observation_seed": ("--obs-seed", int, None),
-    "centroid_seed": ("--centroid-seed", int, None),
-    "d_bound": ("--d-bound", _d_bound_value, "diameter upper bound, or 'auto'"),
-    "max_rounds": ("--max-rounds", int, None),
+    "n": (int, "number of nodes"),
+    "k": (int, "number of clusters"),
+    "dim": (int, "observation dimension"),
+    "extra_edge_probability": (float, "extra-edge probability"),
+    "region": (str, "LO:HI for every dimension, or one LO:HI per "
+                    "dimension, comma separated"),
+    "seed": (int, "base seed; graph/observation/centroid seeds default to "
+                  "seed, seed+1, seed+2"),
+    "graph_seed": (int, None),
+    "observation_seed": (int, None),
+    "centroid_seed": (int, None),
+    "d_bound": (_d_bound_value, "diameter upper bound, or 'auto'"),
+    "max_rounds": (int, None),
 }
+
+# the fields ``generate_graph`` reads: ``gen-graph``'s settings besides
+# ``seed``, and its ``.meta.json`` config
+_GRAPH_FIELDS = ("n", "extra_edge_probability", "graph_seed")
 
 
 def _apply_config_file(args) -> None:
@@ -102,7 +107,7 @@ def _apply_config_file(args) -> None:
         if dest not in _SETTINGS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
-            converted = _SETTINGS[dest][1](value)
+            converted = _SETTINGS[dest][0](value)
         except ValueError:
             raise ValueError(
                 f"config key {dest!r}: bad value {value!r}") from None
@@ -119,8 +124,6 @@ def _experiment_config(args, implied: dict[str, int]) -> ExperimentConfig:
               if getattr(args, dest, None) is not None}
     base_seed = fields.pop("seed", None)
     region = fields.pop("region", None)
-    if "p" in fields:
-        fields["extra_edge_probability"] = fields.pop("p")
     for key, value in implied.items():
         given = fields.setdefault(key, value)
         if given != value:
@@ -163,9 +166,8 @@ def cmd_gen_graph(args) -> int:
     # rides in a sidecar
     _write_json(out.with_suffix(out.suffix + ".meta.json"), {
         "schema": f"{SCHEMA_PREFIX}-graph-v1",
-        "config": {"command": "gen-graph", "n": config.n,
-                   "p": config.extra_edge_probability,
-                   "seed": config.graph_seed},
+        "config": {"command": "gen-graph",
+                   **{name: getattr(config, name) for name in _GRAPH_FIELDS}},
         "n": g.n, "m": g.m, "diameter": diam,
     })
     print(f"n={g.n} m={g.m} D={diam}")
@@ -302,7 +304,6 @@ def cmd_sweep(args) -> int:
     _write_json(out / "sweep_aggregate.json", {
         "schema": f"{SCHEMA_PREFIX}-sweep-v1",
         "config": config_dict,
-        "num_seeds": args.seeds,
         "t_mean": result.t_mean, "t_min": result.t_min, "t_max": result.t_max,
         "histogram": result.histogram,
         "band": T_SANITY_BAND,
@@ -325,12 +326,15 @@ def cmd_sweep(args) -> int:
     if result.band_violations:
         print(f"warning: T outside sanity band {T_SANITY_BAND} for seeds "
               f"{result.band_violations}", file=sys.stderr)
+    unfinished = [r["seed"] for r in result.per_seed if not r["terminated"]]
+    if unfinished:
+        print(f"no termination within max_rounds={config.max_rounds} for "
+              f"seeds {unfinished}", file=sys.stderr)
     if not result.all_bounds_ok:
         print("step bound exceeded: C_t is above the paper's bound for seeds "
               f"{[r['seed'] for r in result.per_seed if not r['bound_ok']]}",
               file=sys.stderr)
-        return 1
-    return 0
+    return 0 if result.all_bounds_ok and not unfinished else 1
 
 
 # --------------------------------------------------------------------------
@@ -345,24 +349,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_settings(p, dests):
         for dest in dests:
-            flag, convert, help_text = _SETTINGS[dest]
-            p.add_argument(flag, dest=dest, type=convert, help=help_text)
+            convert, help_text = _SETTINGS[dest]
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest,
+                           type=convert, help=help_text)
         p.add_argument("--config",
                        help="key=value file of these settings; flags override")
 
-    g = sub.add_parser("gen-graph", help="generate a random digraph edge list")
-    add_settings(g, ("n", "p", "seed"))
+    # no abbreviated flags: a setting has no spelling but its name
+    g = sub.add_parser("gen-graph", allow_abbrev=False,
+                       help="generate a random digraph edge list")
+    add_settings(g, (*_GRAPH_FIELDS, "seed"))
     g.add_argument("--out", "-o", required=True)
     g.set_defaults(func=cmd_gen_graph)
 
-    c = sub.add_parser("consensus", help="run plain exact averaging")
+    c = sub.add_parser("consensus", allow_abbrev=False,
+                       help="run plain exact averaging")
     c.add_argument("--graph", required=True, help="edge-list file")
     c.add_argument("--values", required=True, help="initial integer vectors")
     c.add_argument("--log-messages", action="store_true")
     c.add_argument("--out-dir", default=".", help="output directory")
     c.set_defaults(func=cmd_consensus)
 
-    km = sub.add_parser("kmeans", help="run one clustering experiment")
+    km = sub.add_parser("kmeans", allow_abbrev=False,
+                        help="run one clustering experiment")
     km.add_argument("--graph", help="edge-list file (else generated)")
     km.add_argument("--observations", help="observations file (else generated)")
     km.add_argument("--centroids", help="initial centroids file (else generated)")
@@ -371,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     km.add_argument("--out-dir", default=".", help="output directory")
     km.set_defaults(func=cmd_kmeans)
 
-    sw = sub.add_parser("sweep", help="run many seeded experiments")
+    sw = sub.add_parser("sweep", allow_abbrev=False,
+                        help="run many seeded experiments")
     add_settings(sw, _SETTINGS)
     sw.add_argument("--seeds", type=int, default=100,
                     help="number of derived-seed runs")

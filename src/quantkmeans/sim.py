@@ -623,9 +623,6 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
         raise ProtocolError(f"sweep seed {index}: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"sweep seed {index}: {exc}") from exc
-    if not trace.terminated:
-        raise ProtocolError(
-            f"sweep seed {index}: no termination within {sub.max_rounds} rounds")
     objectives = [r.objective for r in trace.rounds]
     monotone = all(b <= a for a, b in zip(objectives, objectives[1:]))
     return {
@@ -643,7 +640,10 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
 def sweep(config: ExperimentConfig, num_seeds: int,
           workers: int | None = None) -> SweepResult:
     """Run num_seeds independent experiments with derived seeds and aggregate
-    the calculation counts and objective curves.  With ``workers`` above 1
+    the calculation counts and objective curves.  A seed that does not
+    terminate within ``max_rounds`` is a row like any other, with
+    ``terminated`` False; an input error or protocol violation in a seed's
+    run raises, naming the lowest such seed.  With ``workers`` above 1
     the seeds run in a pool of at most one process per seed.  Results are
     merged in seed order, so the aggregate does not depend on the worker
     count."""

@@ -183,8 +183,9 @@ def test_criterion_7_transmission_stopping(kmeans_batch):
 
 def test_criterion_8_desk_scale_experiment(tmp_path, sweep_result):
     out = tmp_path / "fig"
-    rc = cli_main(["kmeans", "--n", "100", "--k", "3", "--p", "0.05",
-                   "--region", "0:50", "--seed", "11", "--out-dir", str(out)])
+    rc = cli_main(["kmeans", "--n", "100", "--k", "3",
+                   "--extra-edge-probability", "0.05", "--region", "0:50",
+                   "--seed", "11", "--out-dir", str(out)])
     assert rc == 0
     summary = json.loads((out / "kmeans_summary.json").read_text())
     assert summary["terminated"] is True
@@ -207,8 +208,8 @@ def test_criterion_8_desk_scale_experiment(tmp_path, sweep_result):
 
 
 def test_criterion_9_byte_identical_reruns(tmp_path):
-    args = ["kmeans", "--n", "40", "--k", "3", "--p", "0.1", "--region", "0:50",
-            "--seed", "21", "--max-rounds", "100"]
+    args = ["kmeans", "--n", "40", "--k", "3", "--extra-edge-probability",
+            "0.1", "--region", "0:50", "--seed", "21", "--max-rounds", "100"]
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(args + ["--out-dir", str(dir_a)]) == 0
     assert cli_main(args + ["--out-dir", str(dir_b)]) == 0
@@ -217,10 +218,9 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     for name in names:
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
     graph_a, graph_b = tmp_path / "ga.txt", tmp_path / "gb.txt"
-    assert cli_main(["gen-graph", "--n", "60", "--p", "0.08", "--seed", "9",
-                     "-o", str(graph_a)]) == 0
-    assert cli_main(["gen-graph", "--n", "60", "--p", "0.08", "--seed", "9",
-                     "-o", str(graph_b)]) == 0
+    for graph in (graph_a, graph_b):
+        assert cli_main(["gen-graph", "--n", "60", "--extra-edge-probability",
+                         "0.08", "--seed", "9", "-o", str(graph)]) == 0
     assert graph_a.read_bytes() == graph_b.read_bytes()
     print(f"\n[criterion 9] PASS: repeated runs produced byte-identical "
           f"artifacts ({len(names) + 1} files compared)")

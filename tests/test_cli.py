@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -10,7 +11,8 @@ import pytest
 
 import quantkmeans
 from quantkmeans import sim
-from quantkmeans.cli import _experiment_config, build_parser, main
+from quantkmeans.cli import (_SETTINGS, _apply_config_file, _experiment_config,
+                             build_parser, main)
 from quantkmeans.graph import (generate_random_digraph, parse_edge_list,
                                serialize_edge_list)
 from quantkmeans.sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
@@ -25,8 +27,8 @@ def read(path):
 class TestGenGraph:
     def test_writes_edge_list_and_prints_summary(self, tmp_path, capsys):
         out = tmp_path / "g.txt"
-        rc = main(["gen-graph", "--n", "20", "--p", "0.1", "--seed", "3",
-                   "-o", str(out)])
+        rc = main(["gen-graph", "--n", "20", "--extra-edge-probability",
+                   "0.1", "--seed", "3", "-o", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert printed.startswith("n=20 m=")
@@ -36,8 +38,9 @@ class TestGenGraph:
 
     def test_same_seed_gives_byte_identical_files(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        main(["gen-graph", "--n", "30", "--p", "0.2", "--seed", "5", "-o", str(a)])
-        main(["gen-graph", "--n", "30", "--p", "0.2", "--seed", "5", "-o", str(b)])
+        for out in (a, b):
+            main(["gen-graph", "--n", "30", "--extra-edge-probability", "0.2",
+                  "--seed", "5", "-o", str(out)])
         assert read(a) == read(b)
 
     def test_rejects_small_n(self, tmp_path, capsys):
@@ -118,8 +121,11 @@ class TestConsensusCommand:
         assert summary["estimates"] == ["3/1 4/1"] * 3
 
 
-KMEANS_ARGS = ["kmeans", "--n", "14", "--k", "2", "--p", "0.2",
-               "--region", "0:20", "--seed", "7", "--max-rounds", "50"]
+KMEANS_ARGS = ["kmeans", "--n", "14", "--k", "2",
+               "--extra-edge-probability", "0.2", "--region", "0:20",
+               "--seed", "7", "--max-rounds", "50"]
+SWEEP_FLAGS = ["--n", "10", "--k", "2", "--extra-edge-probability", "0.25",
+               "--region", "0:15", "--seed", "3"]
 
 
 class TestKMeansCommand:
@@ -161,8 +167,9 @@ class TestKMeansCommand:
             assert read(dir_a / name) == read(dir_b / name)
 
     def test_max_rounds_one_reports_early_stop(self, tmp_path):
-        rc = main(["kmeans", "--n", "10", "--k", "2", "--p", "0.3",
-                   "--region", "0:30", "--seed", "1", "--max-rounds", "1",
+        rc = main(["kmeans", "--n", "10", "--k", "2",
+                   "--extra-edge-probability", "0.3", "--region", "0:30",
+                   "--seed", "1", "--max-rounds", "1",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
@@ -176,8 +183,8 @@ class TestKMeansCommand:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=14\nk=2\np=0.2\nregion=0:20\nseed=7\nmax-rounds=50\n",
-                       encoding="utf-8")
+        cfg.write_text("n=14\nk=2\nextra-edge-probability=0.2\nregion=0:20\n"
+                       "seed=7\nmax-rounds=50\n", encoding="utf-8")
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         rc = main(["kmeans", "--config", str(cfg), "--out-dir", str(dir_a)])
         assert rc == 0
@@ -193,8 +200,8 @@ class TestKMeansCommand:
 
     def test_explicit_input_files(self, tmp_path):
         graph = tmp_path / "g.txt"
-        rc = main(["gen-graph", "--n", "8", "--p", "0.3", "--seed", "2",
-                   "-o", str(graph)])
+        rc = main(["gen-graph", "--n", "8", "--extra-edge-probability",
+                   "0.3", "--seed", "2", "-o", str(graph)])
         assert rc == 0
         obs = tmp_path / "obs.txt"
         obs.write_text("\n".join(f"{i} {i}" for i in range(8)) + "\n",
@@ -352,8 +359,7 @@ class TestStepBoundViolation:
 
     def test_sweep_reports_and_exits_nonzero(self, tmp_path, capsys,
                                              over_step_bound):
-        rc = main(["sweep", "--n", "10", "--k", "2", "--p", "0.25",
-                   "--region", "0:15", "--seed", "3", "--seeds", "2",
+        rc = main(["sweep", *SWEEP_FLAGS, "--seeds", "2",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         aggregate = json.loads(read(tmp_path / "sweep_aggregate.json"))
@@ -367,7 +373,7 @@ class TestGraphInputErrors:
     # ``sweep`` finds these per seed, inside ``run_experiment``; they are
     # input errors there too, not protocol violations.
     @pytest.mark.parametrize("flags, message", [
-        (["--n", "10", "--p", "2"],
+        (["--n", "10", "--extra-edge-probability", "2"],
          "extra_edge_probability must lie in [0, 1]"),
         (["--n", "30", "--d-bound", "1"],
          "diameter bound 1 is below the true diameter 8")])
@@ -424,22 +430,35 @@ class TestSweepCommand:
         assert config == ExperimentConfig(dim=3, region=((0, 50),) * 3)
 
     def test_small_sweep(self, tmp_path):
-        args = ["sweep", "--n", "10", "--k", "2", "--p", "0.25",
-                "--region", "0:15", "--seed", "3", "--seeds", "3",
+        args = ["sweep", *SWEEP_FLAGS, "--seeds", "3",
                 "--out-dir", str(tmp_path)]
         rc = main(args)
         assert rc == 0
         aggregate = json.loads(read(tmp_path / "sweep_aggregate.json"))
-        assert aggregate["num_seeds"] == 3
+        assert aggregate["config"]["num_seeds"] == 3
+        assert "num_seeds" not in aggregate
         assert aggregate["all_bounds_ok"] is True
         per_seed = read(tmp_path / "sweep_per_seed.csv")
         assert per_seed.count("\n") == 5    # config + header + 3 rows
         assert (tmp_path / "sweep_thist.csv").exists()
         assert (tmp_path / "sweep_fmean.csv").exists()
 
+    def test_seeds_out_of_rounds_are_reported_after_the_files(self, tmp_path,
+                                                              capsys):
+        rc = main(["sweep", *SWEEP_FLAGS, "--max-rounds", "1", "--seeds", "3",
+                   "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "no termination within max_rounds=1 for seeds [0, 1, 2]\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "sweep_aggregate.json", "sweep_fmean.csv", "sweep_per_seed.csv",
+            "sweep_thist.csv"]
+        header, *rows = read(tmp_path / "sweep_per_seed.csv").splitlines()[1:]
+        column = header.split(",").index("terminated")
+        assert [row.split(",")[column] for row in rows] == ["False"] * 3
+
     def test_sweep_outputs_are_deterministic(self, tmp_path):
-        base = ["sweep", "--n", "10", "--k", "2", "--p", "0.25",
-                "--region", "0:15", "--seed", "3", "--seeds", "3"]
+        base = ["sweep", *SWEEP_FLAGS, "--seeds", "3"]
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         main(base + ["--out-dir", str(dir_a)])
         main(base + ["--out-dir", str(dir_b)])
@@ -449,8 +468,7 @@ class TestSweepCommand:
 
     def test_protocol_error_names_its_seed(self, tmp_path, capsys,
                                            delivery_leak):
-        rc = main(["sweep", "--n", "10", "--k", "2", "--p", "0.25",
-                   "--region", "0:15", "--seed", "3", "--seeds", "2",
+        rc = main(["sweep", *SWEEP_FLAGS, "--seeds", "2",
                    "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == \
@@ -541,12 +559,10 @@ class TestArtifactsFollowTheDataclasses:
             [[str(getattr(r, name)) for name in leading] for r in trace.rounds]
 
     def test_sweep_rows_and_per_seed_header(self, tmp_path):
-        flags = ["--n", "10", "--k", "2", "--p", "0.25", "--region", "0:15",
-                 "--seed", "3"]
-        assert main(["sweep", *flags, "--seeds", "2",
+        assert main(["sweep", *SWEEP_FLAGS, "--seeds", "2",
                      "--out-dir", str(tmp_path)]) == 0
         config = _experiment_config(build_parser().parse_args(
-            ["sweep", *flags]), {})
+            ["sweep", *SWEEP_FLAGS]), {})
         rows = sweep(config, 2).per_seed
         keys = ["seed", "graph_seed", "observation_seed", "centroid_seed",
                 *counters(KMeansTrace), "objective_monotone",
@@ -583,10 +599,12 @@ class TestArtifactsFollowTheDataclasses:
 
 class TestConfigFile:
     @pytest.mark.parametrize("command", ["kmeans", "sweep", "gen-graph"])
-    @pytest.mark.parametrize("line", ["max_round=0", "scale=3", "box=0:5"])
+    @pytest.mark.parametrize("line", ["max_round=0", "scale=3", "box=0:5",
+                                      "p=0.3", "obs-seed=4"])
     def test_unknown_key_is_an_input_error(self, tmp_path, capsys, command,
                                            line):
-        # a misspelt key, and the deleted scale and box settings, must not
+        # a misspelt key, the deleted scale and box settings, and the old
+        # spellings of extra_edge_probability and observation_seed must not
         # fall back to the defaults
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"n=6\nk=2\n# comment\nregion=0:5\n{line}\n",
@@ -603,8 +621,8 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["kmeans", "gen-graph"])
-    @pytest.mark.parametrize("key, value", [("n", "abc"), ("p", "x"),
-                                            ("k", "abc")])
+    @pytest.mark.parametrize("key, value", [
+        ("n", "abc"), ("extra_edge_probability", "x"), ("k", "abc")])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key,
                                      value):
         cfg = tmp_path / "run.cfg"
@@ -622,14 +640,16 @@ class TestConfigFile:
 
     def test_gen_graph_builds_the_graph_kmeans_would(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n=10\np=0.3\ngraph_seed=5\n", encoding="utf-8")
+        cfg.write_text("n=10\nextra_edge_probability=0.3\ngraph_seed=5\n",
+                       encoding="utf-8")
         graph = tmp_path / "g.txt"
         assert main(["gen-graph", "--config", str(cfg), "-o", str(graph)]) == 0
         assert read(graph) == serialize_edge_list(
             generate_random_digraph(10, 0.3, 5))
         meta = json.loads(read(tmp_path / "g.txt.meta.json"))
-        assert meta["config"] == {"command": "gen-graph", "n": 10, "p": 0.3,
-                                  "seed": 5}
+        assert meta["config"] == {"command": "gen-graph", "n": 10,
+                                  "extra_edge_probability": 0.3,
+                                  "graph_seed": 5}
         out = tmp_path / "out"
         assert main(["kmeans", "--config", str(cfg), "--out-dir", str(out)]) == 0
         summary = json.loads(read(out / "kmeans_summary.json"))
@@ -672,7 +692,8 @@ class TestConfigFile:
         # one interval for every dimension, or one per dimension
         cfg = tmp_path / "run.cfg"
         for interval in ("region=0:9,0:9", "region=0:9"):
-            cfg.write_text(f"n=8\nk=2\ndim=2\np=0.3\n{interval}\n"
+            cfg.write_text(f"n=8\nk=2\ndim=2\nextra-edge-probability=0.3\n"
+                           f"{interval}\n"
                            "seed=4\ngraph-seed=5\nobservation_seed=6\n"
                            "centroid_seed=7\nd_bound=auto\nmax_rounds=20\n",
                            encoding="utf-8")
@@ -680,8 +701,78 @@ class TestConfigFile:
                          "--out-dir", str(tmp_path)]) == 0
 
 
-PIN_FLAGS = ["--n", "16", "--k", "3", "--p", "0.2", "--region", "0:30",
-             "--seed", "8"]
+def subcommand(name):
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices[name]
+
+
+class TestOneNamePerSetting:
+    """A setting's flag and config key are its ``ExperimentConfig`` field
+    name, with ``-`` or ``_``; ``seed``, which sets three seeds, is the one
+    setting that is not a field."""
+
+    NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"seed"}
+    # a value each setting parses
+    VALUES = {"n": "8", "k": "2", "dim": "3", "region": "0:9",
+              "extra_edge_probability": "0.3", "seed": "4", "graph_seed": "5",
+              "observation_seed": "6", "centroid_seed": "7",
+              "d_bound": "auto", "max_rounds": "20"}
+    FLAGS = {"gen-graph": {"n", "extra_edge_probability", "seed",
+                           "graph_seed"},
+             "kmeans": NAMES, "sweep": NAMES}
+    OTHER = {"help", "config", "out", "graph", "observations", "centroids",
+             "log_messages", "out_dir", "seeds", "workers"}
+
+    def test_config_keys_are_the_names(self):
+        assert set(_SETTINGS) == self.NAMES == set(self.VALUES)
+
+    @pytest.mark.parametrize("command", ["gen-graph", "kmeans", "sweep"])
+    def test_flag_and_key_spell_the_name(self, tmp_path, command):
+        settings = [action for action in subcommand(command)._actions
+                    if action.dest not in self.OTHER]
+        assert {action.dest for action in settings} == self.FLAGS[command]
+        parser, cfg = build_parser(), tmp_path / "run.cfg"
+        required = ["-o", "g.txt"] if command == "gen-graph" else []
+        for action in settings:
+            name = action.dest
+            flag = "--" + name.replace("_", "-")
+            assert action.option_strings == [flag]
+            from_flag = parser.parse_args(
+                [command, *required, flag, self.VALUES[name]])
+            for key in {name, name.replace("_", "-")}:
+                cfg.write_text(f"{key}={self.VALUES[name]}\n",
+                               encoding="utf-8")
+                from_key = parser.parse_args(
+                    [command, *required, "--config", str(cfg)])
+                _apply_config_file(from_key)
+                assert getattr(from_key, name) == getattr(from_flag, name)
+
+    @pytest.mark.parametrize("command", ["gen-graph", "kmeans", "sweep"])
+    @pytest.mark.parametrize("flags", [["--p", "0.3"], ["--obs-seed", "4"],
+                                       ["--extra", "0.3"]],
+                             ids=["p", "obs-seed", "abbreviation"])
+    def test_other_spellings_are_usage_errors(self, tmp_path, command, flags):
+        out = tmp_path / "out"
+        args = {"kmeans": ["--out-dir", str(out)],
+                "sweep": ["--seeds", "1", "--out-dir", str(out)],
+                "gen-graph": ["--out", str(out / "g.txt")]}[command]
+        with pytest.raises(SystemExit) as err:
+            main([command, "--n", "6", *flags, *args])
+        assert err.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_graph_seed_sets_what_seed_sets(self, tmp_path):
+        for flag in ("--seed", "--graph-seed"):
+            assert main(["gen-graph", "--n", "12", flag, "5",
+                         "-o", str(tmp_path / f"{flag[2:]}.txt")]) == 0
+        for suffix in (".txt", ".txt.meta.json"):
+            assert read(tmp_path / f"seed{suffix}") == \
+                read(tmp_path / f"graph-seed{suffix}")
+
+
+PIN_FLAGS = ["--n", "16", "--k", "3", "--extra-edge-probability", "0.2",
+             "--region", "0:30", "--seed", "8"]
 
 
 def digests(root):
@@ -718,8 +809,8 @@ class TestArtifactsPinned:
         monkeypatch.chdir(tmp_path)
         assert main(["sweep", *PIN_FLAGS, "--seeds", "3"]) == 0
         assert digests(tmp_path) == {
-            "sweep_aggregate.json": "8aff256bb3caa5499548fb4ccf806c64"
-                                    "910894c3fffd18a476b5dc3a90637d57",
+            "sweep_aggregate.json": "32472e5e72fe5f4f497f0a29cf34b6be"
+                                    "f0af2a705abd4b93229a9029f899a720",
             "sweep_fmean.csv": "14c8974b98a66fc22c5d18d272017ea6"
                                "fbcc54db624731edeb3da3807aa714fc",
             "sweep_per_seed.csv": "188d3aebd7a26ea4acd4cb97f84cc136"
@@ -733,8 +824,8 @@ class TestArtifactsPinned:
         (tmp_path / "v.txt").write_text(
             "".join(f"{i % 4} {2 * i % 5}\n" for i in range(12)),
             encoding="utf-8")
-        assert main(["gen-graph", "--n", "12", "--p", "0.3", "--seed", "5",
-                     "-o", "g.txt"]) == 0
+        assert main(["gen-graph", "--n", "12", "--extra-edge-probability",
+                     "0.3", "--seed", "5", "-o", "g.txt"]) == 0
         assert main(["consensus", "--graph", "g.txt", "--values", "v.txt",
                      "--log-messages"]) == 0
         assert digests(tmp_path) == {
@@ -746,8 +837,8 @@ class TestArtifactsPinned:
                                    "ad025f443e13953c1702319316a3ede0",
             "g.txt": "acff5e2cc9760c8ca32950cc60fa49d9"
                      "3fb19c7901268d83991344f06f7f99c6",
-            "g.txt.meta.json": "9f115fd3ccff13af9bb8898311e6b06f"
-                               "65d39ae26399f10270912b141338ca2b",
+            "g.txt.meta.json": "94f78eed46120af5300068b161f7d635"
+                               "6040f846a6ea4162bc02ae40638c8a78",
             "v.txt": "847c18e42ec83bb9d6b704dd039b746a"
                      "af87741c8f8034db895281e435e9385d",
         }

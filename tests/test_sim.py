@@ -1045,16 +1045,23 @@ class TestExperimentsAndSweep:
         assert str(exc.value) == message
 
     def test_parallel_sweep_error_names_the_lowest_failing_seed(self):
-        # Seed 0 runs out of rounds; seed 1's graph has diameter 8, above
-        # d_bound.  A pool may finish seed 1 first, yet both sweeps must
-        # report seed 0.
+        # Both seeds' graphs are wider than d_bound (diameters 7 and 8).  A
+        # pool may finish seed 1 first, yet both sweeps must report seed 0.
         cfg = ExperimentConfig(n=40, k=3, extra_edge_probability=0.05,
-                               graph_seed=4, max_rounds=1, d_bound=7)
+                               graph_seed=4, d_bound=6)
         for workers in (None, 2):
-            with pytest.raises(ProtocolError) as exc:
+            with pytest.raises(ValueError) as exc:
                 sweep(cfg, 2, workers=workers)
             assert str(exc.value) == \
-                "sweep seed 0: no termination within 1 rounds"
+                "sweep seed 0: diameter bound 6 is below the true diameter 7"
+
+    def test_seed_out_of_rounds_is_a_row(self):
+        cfg = ExperimentConfig(n=10, k=2, extra_edge_probability=0.2,
+                               max_rounds=1)
+        rows = sweep(cfg, 3).per_seed
+        assert [(row["seed"], row["T"], row["terminated"]) for row in rows] \
+            == [(0, 1, False), (1, 1, False), (2, 1, False)]
+        assert rows == sweep(cfg, 3, workers=2).per_seed
 
     def test_sweep_needs_a_seed(self):
         with pytest.raises(ValueError) as exc:
