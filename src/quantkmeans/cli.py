@@ -289,10 +289,13 @@ def cmd_kmeans(args) -> int:
                    [(s, a, b, cl, z, " ".join(map(str, y)))
                     for s, a, b, cl, z, y in trace.message_log])
     print(f"T={trace.T} C_t={trace.C_t} terminated={trace.terminated}")
+    if not trace.terminated:
+        print(f"no termination within max_rounds={config.max_rounds}",
+              file=sys.stderr)
     if not trace.bound_ok:
         print(f"step bound exceeded: C_t={trace.C_t} is above the paper's "
               f"bound {trace.step_bound}", file=sys.stderr)
-    return 0 if report.passed and trace.bound_ok else 1
+    return 0 if report.passed and trace.bound_ok and trace.terminated else 1
 
 
 def cmd_sweep(args) -> int:
@@ -347,18 +350,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "digraphs: generators, single runs, and seed sweeps.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_settings(p, dests):
+    def add_settings(p, dests, config_help="key=value file of these "
+                     "settings; flags override"):
         for dest in dests:
             convert, help_text = _SETTINGS[dest]
             p.add_argument("--" + dest.replace("_", "-"), dest=dest,
                            type=convert, help=help_text)
-        p.add_argument("--config",
-                       help="key=value file of these settings; flags override")
+        p.add_argument("--config", help=config_help)
 
     # no abbreviated flags: a setting has no spelling but its name
     g = sub.add_parser("gen-graph", allow_abbrev=False,
                        help="generate a random digraph edge list")
-    add_settings(g, (*_GRAPH_FIELDS, "seed"))
+    add_settings(g, (*_GRAPH_FIELDS, "seed"),
+                 "key=value file of the settings kmeans takes; gen-graph "
+                 "uses n, extra_edge_probability, graph_seed and seed, and "
+                 "parses and ignores the other keys; flags override")
     g.add_argument("--out", "-o", required=True)
     g.set_defaults(func=cmd_gen_graph)
 

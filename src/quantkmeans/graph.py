@@ -110,16 +110,31 @@ def is_strongly_connected(g: Digraph) -> bool:
 
 
 def diameter(g: Digraph) -> int:
-    """Longest shortest directed path over all ordered node pairs; a node
-    some source cannot reach means the graph is not strongly connected."""
-    best = 0
-    for source in range(g.n):
-        dist = _bfs_distances(g, source)
-        if min(dist) < 0:
+    """Longest shortest directed path over all ordered node pairs.
+
+    Every node's reachable set is a Python int with bit ``v`` for node v.
+    Level 0 holds each node alone; each level ORs in the out-neighbors'
+    previous sets, so after level L a node's set holds exactly what it
+    reaches within L hops, and the diameter is the first level at which
+    every set is full.  A level that adds nothing before then means some
+    node cannot reach another: the graph is not strongly connected."""
+    full = (1 << g.n) - 1
+    outs = [g.out_neighbors(v) for v in range(g.n)]
+    reach = [1 << v for v in range(g.n)]
+    level = 0
+    while any(r != full for r in reach):
+        grown = []
+        for r, nbrs in zip(reach, outs):
+            if r != full:
+                for u in nbrs:
+                    r |= reach[u]
+            grown.append(r)
+        if grown == reach:
             raise ValueError(
                 "diameter is undefined: graph is not strongly connected")
-        best = max(best, max(dist))
-    return best
+        reach = grown
+        level += 1
+    return level
 
 
 def generate_random_digraph(n: int, extra_edge_probability: float,
@@ -134,17 +149,19 @@ def generate_random_digraph(n: int, extra_edge_probability: float,
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)
-    edges = set()
+    # succ[i]: the node i sends to on the cycle; each other ordered pair
+    # draws once, senders and then receivers in ascending id
+    succ = [0] * n
     for idx in range(n):
-        sender = perm[idx]
-        receiver = perm[(idx + 1) % n]
-        edges.add((receiver, sender))
+        succ[perm[idx]] = perm[(idx + 1) % n]
+    edges = [(succ[sender], sender) for sender in range(n)]
+    draw = rng.random
     for sender in range(n):
+        skip = succ[sender]
         for receiver in range(n):
-            if receiver == sender or (receiver, sender) in edges:
-                continue
-            if rng.random() < extra_edge_probability:
-                edges.add((receiver, sender))
+            if receiver != sender and receiver != skip \
+                    and draw() < extra_edge_probability:
+                edges.append((receiver, sender))
     return Digraph(n, edges)
 
 

@@ -21,8 +21,8 @@ from .consensus import ConsensusState, Mass
 # bound here only because the benchmark's tracer wraps these names in ``sim``
 from .coordination import extrema_merge, snapshot, window_check  # noqa: F401
 from .exactmath import Fraction, FractionVector, sq_dist_exact
-from .graph import (Digraph, EdgeOrdering, assign_edge_orders, diameter,
-                    generate_random_digraph, is_strongly_connected)
+from .graph import (Digraph, EdgeOrdering, diameter, generate_random_digraph,
+                    is_strongly_connected)
 from .kmeans import assign_cluster, finalize_round
 
 
@@ -68,11 +68,12 @@ def _check_d_bound(d_bound) -> None:
 
 def _edge_targets(g: Digraph, orders: EdgeOrdering | None,
                   ) -> list[tuple[int, ...]]:
-    """Each node's round-robin target list under ``orders`` (the canonical
-    orders when None), which must order exactly the node's out-neighbors
-    in ``g``."""
+    """Each node's round-robin target list under ``orders``, which must
+    order exactly the node's out-neighbors in ``g``.  The canonical orders
+    (None) are the out-neighbors in ascending id, as ``assign_edge_orders``
+    gives them."""
     if orders is None:
-        orders = assign_edge_orders(g)
+        return [g.out_neighbors(j) for j in range(g.n)]
     targets = [orders.targets(j) for j in range(g.n)]
     if any(sorted(t) != list(g.out_neighbors(j))
            for j, t in enumerate(targets)):
@@ -494,8 +495,8 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     log: Optional[list] = [] if log_messages else None
     stats = _MessageStats()
     assignments = [assign_cluster(v, current) for v in x]
-    rounds = [RoundRecord(0, 0, 0, 0, current,
-                          distance_objective(x, assignments, current))]
+    objective = distance_objective(x, assignments, current)
+    rounds = [RoundRecord(0, 0, 0, 0, current, objective)]
     C_t = 0
     round_bound = window + n * g.m * g.m
     terminated = False
@@ -506,9 +507,12 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
             x, targets, k, assignments, window, g.m,
             _RUNAWAY_FACTOR * round_bound, stats, log, C_t)
         current, unchanged = finalize_round(verdict, current)
-        assignments = [assign_cluster(v, current) for v in x]
+        # unchanged centroids keep the previous assignments and objective
+        if not unchanged:
+            assignments = [assign_cluster(v, current) for v in x]
+            objective = distance_objective(x, assignments, current)
         rounds.append(RoundRecord(T, steps, mass_msgs, ext_msgs, current,
-                                  distance_objective(x, assignments, current)))
+                                  objective))
         C_t += steps
         terminated = T >= 2 and unchanged
 

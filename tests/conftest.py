@@ -16,6 +16,16 @@ def complete_digraph(n: int) -> Digraph:
     return Digraph(n, [(j, i) for i in range(n) for j in range(n) if i != j])
 
 
+def ladder_digraph(n):
+    """The chain 0 -> 1 -> ... -> n-2 -> s with s = n-1, where s sends to 0
+    and every chain node but n-2 also sends to s.  Under the canonical
+    orders every chain rotor points back to s after its first send, so the
+    merged mass rarely walks far along the chain: both step bounds fail."""
+    s = n - 1
+    edges = [(i + 1, i) for i in range(n - 2)] + [(s, n - 2), (0, s)]
+    return Digraph(n, edges + [(s, i) for i in range(n - 2)])
+
+
 def agreed_pairs(verdict):
     """The (nums, den) form of every certified value in a window verdict;
     a window that does not close certifies none."""

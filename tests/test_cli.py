@@ -59,6 +59,30 @@ class TestGenGraph:
         assert capsys.readouterr().err == "error: --n is required\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_config_keys_it_does_not_use_are_ignored(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["gen-graph", "--help"])
+        assert ("--config CONFIG key=value file of the settings kmeans "
+                "takes; gen-graph uses n, extra_edge_probability, graph_seed "
+                "and seed, and parses and ignores the other keys; flags "
+                "override") in " ".join(capsys.readouterr().out.split())
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=6\nk=9\ndim=0\nmax_rounds=0\nseed=2\n",
+                       encoding="utf-8")
+        assert main(["gen-graph", "--config", str(cfg),
+                     "-o", str(tmp_path / "a.txt")]) == 0
+        assert main(["gen-graph", "--n", "6", "--seed", "2",
+                     "-o", str(tmp_path / "b.txt")]) == 0
+        for suffix in (".txt", ".txt.meta.json"):
+            assert read(tmp_path / f"a{suffix}") == \
+                read(tmp_path / f"b{suffix}")
+        # a key gen-graph ignores is still parsed
+        cfg.write_text("n=6\nk=x\n", encoding="utf-8")
+        assert main(["gen-graph", "--config", str(cfg),
+                     "-o", str(tmp_path / "c.txt")]) == 1
+        assert capsys.readouterr().err == \
+            "error: config key 'k': bad value 'x'\n"
+
 
 class TestConsoleEntryPoint:
     """``python -m quantkmeans.cli`` runs ``main`` and exits with its code."""
@@ -166,15 +190,22 @@ class TestKMeansCommand:
                      "trajectories.csv", "assignments.csv"):
             assert read(dir_a / name) == read(dir_b / name)
 
-    def test_max_rounds_one_reports_early_stop(self, tmp_path):
+    def test_max_rounds_one_reports_early_stop(self, tmp_path, capsys):
+        # the files are written; the stop is reported as sweep reports it
         rc = main(["kmeans", "--n", "10", "--k", "2",
                    "--extra-edge-probability", "0.3", "--region", "0:30",
                    "--seed", "1", "--max-rounds", "1",
                    "--out-dir", str(tmp_path)])
-        assert rc == 0
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            "no termination within max_rounds=1\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "assignments.csv", "fcurve.csv", "kmeans_summary.json",
+            "rounds.csv", "trajectories.csv"]
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
         assert summary["terminated"] is False
         assert summary["T"] == 1
+        assert summary["equivalence"] == "pass"
 
     def test_invalid_cluster_count(self, tmp_path, capsys):
         rc = main(["kmeans", "--n", "5", "--k", "5", "--out-dir", str(tmp_path)])

@@ -7,7 +7,10 @@ from quantkmeans.graph import (Digraph, EdgeOrdering, assign_edge_orders,
                                is_strongly_connected, parse_edge_list,
                                serialize_edge_list)
 
-from conftest import complete_digraph, cycle_digraph
+from conftest import complete_digraph, cycle_digraph, ladder_digraph
+
+NOT_STRONGLY_CONNECTED = (
+    "diameter is undefined: graph is not strongly connected")
 
 
 def floyd_warshall_diameter(g: Digraph) -> int:
@@ -35,6 +38,43 @@ def floyd_warshall_diameter(g: Digraph) -> int:
     return best
 
 
+def bfs_diameter(g: Digraph) -> int:
+    """Per-source BFS oracle: the largest hop count over all sources."""
+    best = 0
+    for source in range(g.n):
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in g.out_neighbors(u):
+                    if v not in dist:
+                        dist[v] = dist[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        assert len(dist) == g.n, "oracle input must be strongly connected"
+        best = max(best, max(dist.values()))
+    return best
+
+
+def generate_by_pair_lookup(n: int, p: float, seed: int) -> set:
+    """The generator's edge set as first written: a per-pair loop that skips
+    self-pairs and the cycle's edges by looking each pair up in the set."""
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = set()
+    for idx in range(n):
+        edges.add((perm[(idx + 1) % n], perm[idx]))
+    for sender in range(n):
+        for receiver in range(n):
+            if receiver == sender or (receiver, sender) in edges:
+                continue
+            if rng.random() < p:
+                edges.add((receiver, sender))
+    return edges
+
+
 class TestConnectivity:
     def test_cycle_is_strongly_connected(self):
         assert is_strongly_connected(cycle_digraph(3))
@@ -53,11 +93,17 @@ class TestConnectivity:
 
 class TestDiameter:
     def test_directed_cycle(self):
-        assert diameter(cycle_digraph(4)) == 3
+        for n in (2, 3, 4, 10, 64, 65, 300):
+            assert diameter(cycle_digraph(n)) == n - 1
 
     def test_complete(self):
-        for n in (3, 5, 8):
-            assert diameter(complete_digraph(n)) == 1
+        for n in range(2, 12):
+            g = complete_digraph(n)
+            assert diameter(g) == 1 == floyd_warshall_diameter(g) \
+                == bfs_diameter(g)
+
+    def test_single_node(self):
+        assert diameter(Digraph(1, [])) == 0
 
     def test_cycle_with_chord(self):
         # 5-cycle plus the shortcut 0 -> 2
@@ -66,8 +112,45 @@ class TestDiameter:
         assert diameter(g) == floyd_warshall_diameter(g)
 
     def test_rejects_disconnected(self):
-        with pytest.raises(ValueError):
-            diameter(Digraph(3, [(1, 0), (2, 1)]))
+        for edges in ([],                                # no edges
+                      [(1, 0), (2, 1)],                  # a one-way chain
+                      [(1, 0), (0, 1)],                  # node 2 isolated
+                      [(1, 0), (0, 1), (2, 1)],          # node 2 a sink
+                      [(1, 0), (0, 1), (0, 2)],          # node 2 a source
+                      [(1, 0), (2, 1), (0, 2), (3, 2)]):  # a cycle into 3
+            g = Digraph(4, edges)
+            with pytest.raises(ValueError) as exc:
+                diameter(g)
+            assert str(exc.value) == NOT_STRONGLY_CONNECTED
+
+    @pytest.mark.parametrize("n", range(4, 25))
+    def test_ladder_matches_per_source_bfs(self, n):
+        g = ladder_digraph(n)
+        assert diameter(g) == bfs_diameter(g)
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.2, 0.6])
+    def test_random_digraphs_match_both_oracles(self, p):
+        for n in range(3, 41):
+            for seed in range(3):
+                g = generate_random_digraph(n, p, seed=1000 * n + seed)
+                assert diameter(g) == floyd_warshall_diameter(g) \
+                    == bfs_diameter(g)
+
+    def test_random_not_strongly_connected_graphs_raise(self):
+        rng = random.Random(11)
+        seen = 0
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            g = Digraph(n, [(j, i) for i in range(n) for j in range(n)
+                            if i != j and rng.random() < 0.25])
+            if is_strongly_connected(g):
+                assert diameter(g) == floyd_warshall_diameter(g)
+                continue
+            seen += 1
+            with pytest.raises(ValueError) as exc:
+                diameter(g)
+            assert str(exc.value) == NOT_STRONGLY_CONNECTED
+        assert seen > 100
 
     def test_agrees_with_all_pairs_oracle_on_random_graphs(self):
         rng = random.Random(7)
@@ -104,6 +187,17 @@ class TestGeneration:
         a = generate_random_digraph(20, 0.2, seed=11)
         b = generate_random_digraph(20, 0.2, seed=11)
         assert a == b
+
+    @pytest.mark.parametrize("n", [3, 4, 15, 45, 200])
+    def test_draw_for_draw_equal_to_the_pair_lookup_loop(self, n):
+        for p in (0, 0.005, 0.1, 0.5, 1.0):
+            for seed in range(5):
+                assert generate_random_digraph(n, p, seed).edges == \
+                    generate_by_pair_lookup(n, p, seed)
+
+    def test_paper_scale_graph_is_pinned(self):
+        g = generate_random_digraph(1000, 0.005, 1)
+        assert (g.m, diameter(g)) == (5987, 8)
 
     def test_rejects_tiny_node_counts(self):
         with pytest.raises(ValueError):

@@ -17,21 +17,12 @@ from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
                              run_kmeans, sweep)
 
-from conftest import agreed_pairs, cycle_digraph, flood_verdict
+from conftest import (agreed_pairs, cycle_digraph, flood_verdict,
+                      ladder_digraph)
 
 
 def fv(*nums, den=1):
     return FractionVector(tuple(nums), den)
-
-
-def ladder_digraph(n):
-    """The chain 0 -> 1 -> ... -> n-2 -> s with s = n-1, where s sends to 0
-    and every chain node but n-2 also sends to s.  Under the canonical
-    orders every chain rotor points back to s after its first send, so the
-    merged mass rarely walks far along the chain: both step bounds fail."""
-    s = n - 1
-    edges = [(i + 1, i) for i in range(n - 2)] + [(s, n - 2), (0, s)]
-    return Digraph(n, edges + [(s, i) for i in range(n - 2)])
 
 
 def stationary_distribution(g):
@@ -961,6 +952,56 @@ class TestRunKMeans:
         trace = run_kmeans(g, obs, cents, d_bound=window)
         assert trace.terminated
         assert len(verdicts) > trace.T     # some windows did not certify
+
+
+def assert_rounds_match_their_centroids(trace, obs):
+    """Every round's objective is ``distance_objective`` recomputed from
+    that round's centroids, and the final assignments are the nearest of
+    the final centroids."""
+    for r in trace.rounds:
+        labels = [assign_cluster(x, r.centroids) for x in obs]
+        expected = distance_objective(obs, labels, r.centroids)
+        assert (r.objective, str(r.objective)) == (expected, str(expected))
+    final = trace.rounds[-1].centroids
+    assert trace.final_assignments == [assign_cluster(x, final) for x in obs]
+
+
+class TestRepeatedCentroids:
+    """A round whose centroids equal the previous round's reuses its
+    assignments and objective; the tests recompute both."""
+
+    def test_canonical_targets_are_the_canonical_orders(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            g = generate_random_digraph(rng.randint(3, 30), rng.random(),
+                                        seed=rng.randint(0, 10 ** 6))
+            orders = assign_edge_orders(g)
+            assert sim._edge_targets(g, None) == \
+                [orders.targets(j) for j in range(g.n)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_terminated_fixed_point_and_cut_runs(self, seed):
+        g, obs, cents, orders = random_kmeans_case(seed)
+        full = run_kmeans(g, obs, cents, orders=orders)
+        assert full.terminated
+        assert full.rounds[-1].centroids == full.rounds[-2].centroids
+        assert_rounds_match_their_centroids(full, obs)
+        # the fixed point, each centroid over a non-reduced denominator
+        fixed = [FractionVector([v * 3 for v in c.nums], c.den * 3)
+                 for c in full.rounds[-1].centroids]
+        for max_rounds in (1, 2):
+            # every round repeats its centroids; only round 2 may terminate
+            trace = run_kmeans(g, obs, fixed, max_rounds=max_rounds,
+                               orders=orders)
+            assert (trace.T, trace.terminated) == (max_rounds, max_rounds == 2)
+            assert all(r.centroids == tuple(fixed) for r in trace.rounds)
+            assert_rounds_match_their_centroids(trace, obs)
+        for max_rounds in range(1, full.T):
+            trace = run_kmeans(g, obs, cents, max_rounds=max_rounds,
+                               orders=orders)
+            assert (trace.T, trace.terminated) == (max_rounds, False)
+            assert trace.rounds == full.rounds[:max_rounds + 1]
+            assert_rounds_match_their_centroids(trace, obs)
 
 
 class TestDistanceObjective:
