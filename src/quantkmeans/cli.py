@@ -61,7 +61,13 @@ def _parse_interval(text: str) -> tuple[int, int]:
 
 
 def _d_bound_value(text: str):
-    return text if text == "auto" else int(text)
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer, not {text!r}") from None
 
 
 # setting -> (converter, help).  Each name but ``seed`` is an
@@ -108,7 +114,7 @@ def _apply_config_file(args) -> None:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         try:
             converted = _SETTINGS[dest][0](value)
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             raise ValueError(
                 f"config key {dest!r}: bad value {value!r}") from None
         if dest in unset:

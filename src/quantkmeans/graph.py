@@ -137,6 +137,12 @@ def diameter(g: Digraph) -> int:
     return level
 
 
+def check_edge_probability(extra_edge_probability: float) -> None:
+    """The extra-edge probability of a random digraph lies in [0, 1]."""
+    if not 0.0 <= extra_edge_probability <= 1.0:
+        raise ValueError("extra_edge_probability must lie in [0, 1]")
+
+
 def generate_random_digraph(n: int, extra_edge_probability: float,
                             seed: int) -> Digraph:
     """Random strongly connected digraph: a Hamiltonian directed cycle over a
@@ -144,8 +150,7 @@ def generate_random_digraph(n: int, extra_edge_probability: float,
     ordered pair is included independently with the given probability."""
     if n <= 2:
         raise ValueError("node count must exceed 2")
-    if not (0.0 <= extra_edge_probability <= 1.0):
-        raise ValueError("extra_edge_probability must lie in [0, 1]")
+    check_edge_probability(extra_edge_probability)
     rng = random.Random(seed)
     perm = list(range(n))
     rng.shuffle(perm)

@@ -21,8 +21,8 @@ from .consensus import ConsensusState, Mass
 # bound here only because the benchmark's tracer wraps these names in ``sim``
 from .coordination import extrema_merge, snapshot, window_check  # noqa: F401
 from .exactmath import Fraction, FractionVector, sq_dist_exact
-from .graph import (Digraph, EdgeOrdering, diameter, generate_random_digraph,
-                    is_strongly_connected)
+from .graph import (Digraph, EdgeOrdering, check_edge_probability, diameter,
+                    generate_random_digraph, is_strongly_connected)
 from .kmeans import assign_cluster, finalize_round
 
 
@@ -30,24 +30,27 @@ class ProtocolError(RuntimeError):
     """A protocol invariant failed; never ignored."""
 
 
+def _check_ints(what: str, values) -> None:
+    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, int)]
+    if bad:
+        raise ValueError(f"{what} must be integers, not {bad[0]!r}")
+
+
 def _check_inputs(n: int, k: int, max_rounds: int, dim: int = 0,
-                  vectors: Sequence[tuple[int, ...]] | None = None,
-                  g: Digraph | None = None) -> int:
-    """The input rules of every run: more than 2 nodes, a strongly connected
-    graph, one vector per node, one shared dimension of at least 1,
-    1 <= k < n and at least one round.  The graph and vector rules apply
-    when ``g`` and ``vectors`` are given; otherwise ``dim`` is checked.
-    Returns the dimension."""
+                  vectors: Sequence[tuple[int, ...]] | None = None) -> int:
+    """The input rules of every run: more than 2 nodes, one integer vector
+    per node, one shared dimension of at least 1, 1 <= k < n and at least
+    one round.  The vector rules apply when ``vectors`` are given;
+    otherwise ``dim`` is checked.  Returns the dimension."""
     if n <= 2:
         raise ValueError("the protocol requires more than 2 nodes")
-    if g is not None and not is_strongly_connected(g):
-        raise ValueError("graph is not strongly connected")
     if vectors is not None:
         if len(vectors) != n:
             raise ValueError("one vector per node is required")
         dim = len(vectors[0])
         if any(len(v) != dim for v in vectors):
             raise ValueError("vectors must share one dimension")
+        _check_ints("coordinates", (c for v in vectors for c in v))
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     if not 1 <= k < n:
@@ -183,9 +186,10 @@ class _LockStep:
 
     def emit(self, received: list[tuple[int, int]]) -> None:
         """Poll the received pairs in order and send what their triggered
-        instances emit.  The trigger is ``ConsensusState.trigger``: a zero
-        held pair never fires, any other fires when (held z, held y) is at
-        least (stored z, stored y)."""
+        instances emit.  The trigger is ``ConsensusState.trigger``: fire when
+        (held z, held y) is at least (stored z, stored y).  Its zero-held
+        rule is not tested, as every mass has z >= 1 and a polled pair holds
+        an injected ``x_j/1`` or a received mass."""
         self.touched.update(received)
         instances, pending, log = self.instances, self.pending, self.log
         stats = self.stats
@@ -195,7 +199,7 @@ class _LockStep:
         for j, cl in received:
             st = instances[j][cl]
             hy, hz = st.held_y, st.held_z
-            if not (hz or any(hy)) or (hz, hy) < (st.stored_z, st.stored_y):
+            if (hz, hy) < (st.stored_z, st.stored_y):
                 continue
             st.stored_y, st.stored_z = hy, hz
             st.held_y, st.held_z = zero_y, 0
@@ -264,7 +268,7 @@ class ConsensusTrace:
     m: int
     dim: int
     steps: int                      # steps simulated until stability was certain
-    S_t: int                        # first step from which all estimates stay exact
+    S_t: int                        # equals steps; perfbench pins both
     step_bound: int                 # n * m^2
     bound_ok: bool
     average: FractionVector
@@ -283,13 +287,15 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     bound."""
     n = g.n
     values = [tuple(v) for v in initial]
-    dim = _check_inputs(n, 1, 1, vectors=values, g=g)
+    dim = _check_inputs(n, 1, 1, vectors=values)
+    if not is_strongly_connected(g):
+        raise ValueError("graph is not strongly connected")
     targets = _edge_targets(g, orders)
 
     log: Optional[list] = [] if log_messages else None
     # Plain averaging is a round with a single label; its first step is 0.
     lock = _LockStep(values, targets, 1, [0] * n, _MessageStats(), log, -1)
-    lock.emit(list(lock.held))
+    lock.emit([(j, 0) for j in range(n)])
     total_y = lock.totals[0][:-1]
     states = [row[0] for row in lock.instances]
     per_step = [lock.messages]
@@ -299,47 +305,37 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     def carries_average(y: tuple[int, ...], z: int) -> bool:
         return all(yi * n == ti * z for yi, ti in zip(y, total_y))
 
-    def inexact(st) -> bool:
-        return not (st.stored_z and carries_average(st.stored_y, st.stored_z))
+    def unsettled(st) -> bool:
+        return not carries_average(st.stored_y, st.stored_z) or (
+            st.held_z > 0 and not carries_average(st.held_y, st.held_z))
 
-    # Only a step's receivers change, so only they are re-read.
-    node_inexact = [inexact(st) for st in states]
-    inexact_count = sum(node_inexact)
-
-    def masses_settled() -> bool:
-        # Every held or in-flight mass must already carry the average ratio;
-        # from such a state no future transmission can move any estimate.
-        # ``held`` omits zero masses, which carry any ratio.  In-flight
-        # masses need no scan: each equals its sender's stored estimate, so
-        # once every estimate is exact, every in-flight mass carries the
-        # average.
-        return all(carries_average(pair[:-1], pair[-1])
-                   for pair in lock.held.values())
-
-    # ``lock.steps`` is one past the latest step, so while any estimate is
-    # inexact, the first step from which all stay exact is at least that.
-    S_t = 0
+    # Stop when no node is unsettled; only a step's receivers change their
+    # pairs.  With every estimate exact, each in-flight mass (its sender's
+    # estimate) carries the average, and an off-average held mass leaves
+    # only by firing, which makes an estimate inexact: so the last step
+    # starts with an inexact estimate, and S_t is the stop step.
+    node_unsettled = [unsettled(st) for st in states]
+    unsettled_count = sum(node_unsettled)
     lock.check_conservation()
-    while inexact_count or not masses_settled():
+    while unsettled_count:
         if lock.steps > cap:
             raise ProtocolError(
                 f"no convergence within {cap} steps (bound {step_bound})")
-        if inexact_count:
-            S_t = lock.steps
         received = lock.deliver()
         lock.emit(received)
         per_step.append(len(lock.pending))
         lock.check_conservation()
         for j, _ in received:
-            old, node_inexact[j] = node_inexact[j], inexact(states[j])
-            inexact_count += node_inexact[j] - old
+            old, node_unsettled[j] = node_unsettled[j], unsettled(states[j])
+            unsettled_count += node_unsettled[j] - old
     lock.check_conservation_scan()
 
     if log is not None:
         log = [(s, a, b, z, y) for s, a, b, _, z, y in log]
+    steps = lock.steps - 1
     return ConsensusTrace(
-        n=n, m=g.m, dim=dim, steps=lock.steps - 1, S_t=S_t,
-        step_bound=step_bound, bound_ok=S_t <= step_bound,
+        n=n, m=g.m, dim=dim, steps=steps, S_t=steps,
+        step_bound=step_bound, bound_ok=steps <= step_bound,
         average=FractionVector(total_y, n),
         estimates=[st.estimate for st in states],
         messages=lock.messages, per_step_messages=per_step, message_log=log)
@@ -480,9 +476,11 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     n = g.n
     x = [tuple(v) for v in observations]
     k = len(initial_centroids)
-    dim = _check_inputs(n, k, max_rounds, vectors=x, g=g)
+    dim = _check_inputs(n, k, max_rounds, vectors=x)
     if any(c.dim != dim for c in initial_centroids):
         raise ValueError("centroid dimension does not match the observations")
+    _check_ints("centroid numerators and denominators",
+                (v for c in initial_centroids for v in (*c.nums, c.den)))
     _check_d_bound(d_bound)
     diam = diameter(g)
     window = diam if d_bound == "auto" else d_bound
@@ -549,6 +547,7 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _check_inputs(self.n, self.k, self.max_rounds, self.dim)
+        check_edge_probability(self.extra_edge_probability)
         _check_d_bound(self.d_bound)
         if len(self.region) != self.dim:
             raise ValueError("one region interval per dimension is required")
@@ -623,10 +622,8 @@ def _sweep_single(args: tuple[ExperimentConfig, int]) -> dict:
     sub = config_for_seed(config, index)
     try:
         trace = run_experiment(sub)
-    except ProtocolError as exc:
-        raise ProtocolError(f"sweep seed {index}: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"sweep seed {index}: {exc}") from exc
+    except (ProtocolError, ValueError) as exc:
+        raise type(exc)(f"sweep seed {index}: {exc}") from exc
     objectives = [r.objective for r in trace.rounds]
     monotone = all(b <= a for a, b in zip(objectives, objectives[1:]))
     return {

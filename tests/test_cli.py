@@ -310,6 +310,17 @@ class TestKMeansCommand:
         assert err.count("\n") == 1
         assert err.startswith("error: bad interval") and "LO:HI" in err
 
+    @pytest.mark.parametrize("command", ["kmeans", "sweep"])
+    def test_non_integer_d_bound_usage_error_says_what_is_expected(
+            self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--d-bound", "1.5", "--out-dir", str(tmp_path)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"quantkmeans {command}: error: argument --d-bound: expected "
+            "'auto' or an integer, not '1.5'")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flags", [["--box", "1:2"], ["--oracle-check"]],
                              ids=["box", "oracle-check"])
     def test_deleted_flags_are_usage_errors(self, tmp_path, flags):
@@ -401,8 +412,10 @@ class TestStepBoundViolation:
 
 
 class TestGraphInputErrors:
-    # ``sweep`` finds these per seed, inside ``run_experiment``; they are
-    # input errors there too, not protocol violations.
+    # ``sweep`` checks the probability in ``ExperimentConfig.validate``,
+    # before any seed runs, and finds the diameter bound per seed, inside
+    # ``run_experiment``, naming the seed.  Both are input errors, not
+    # protocol violations.
     @pytest.mark.parametrize("flags, message", [
         (["--n", "10", "--extra-edge-probability", "2"],
          "extra_edge_probability must lie in [0, 1]"),
@@ -412,6 +425,8 @@ class TestGraphInputErrors:
         ("kmeans", "", []), ("sweep", "sweep seed 0: ", ["--seeds", "1"])])
     def test_reported_as_input_errors(self, tmp_path, capsys, command,
                                       prefix, extra, flags, message):
+        if not message.startswith("diameter"):
+            prefix = ""
         rc = main([command, *flags, *extra, "--out-dir", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == f"error: {prefix}{message}\n"
@@ -653,7 +668,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("command", ["kmeans", "gen-graph"])
     @pytest.mark.parametrize("key, value", [
-        ("n", "abc"), ("extra_edge_probability", "x"), ("k", "abc")])
+        ("n", "abc"), ("extra_edge_probability", "x"), ("k", "abc"),
+        ("d_bound", "1.5")])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, key,
                                      value):
         cfg = tmp_path / "run.cfg"

@@ -625,13 +625,43 @@ def reference_stop_rule(g, values, orders):
     return step, first_stable
 
 
+def held_mass_case(seed):
+    """Small graphs with values in -1..1, where a run can reach a step at
+    which every estimate is exact but a held mass is not."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 12)
+    p = rng.choice([0.0, 0.0, 0.1])
+    values = [(rng.randint(-1, 1),) for _ in range(n)]
+    g = generate_random_digraph(n, p, seed)
+    return g, values, assign_edge_orders(g, seed if seed % 2 else None)
+
+
+def stop_rule_cases():
+    """Inputs on which ``run_consensus``'s stop step is held to the
+    whole-state rule: 200 random cases, the ladders and the 8-node
+    counterexample, whose runs overshoot the step bound, all-equal values,
+    and the five ``held_mass_case`` seeds in 0..5999 whose runs reach a
+    step with every estimate exact and a held mass off the average."""
+    cases = [random_consensus_case(seed) for seed in range(200)]
+    graphs = [(ladder_digraph(n), [(i % 3,) for i in range(n)])
+              for n in range(6, 13)]
+    graphs += [eight_node_counterexample(),
+               (cycle_digraph(5), [(7, -2)] * 5)]
+    cases += [(g, values, assign_edge_orders(g)) for g, values in graphs]
+    return cases + [held_mass_case(seed)
+                    for seed in (1473, 2330, 2431, 3095, 5716)]
+
+
 class TestStopRuleCounts:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_counts_match_a_whole_state_stop_rule(self, seed):
-        g, values, orders = random_consensus_case(seed)
-        trace = run_consensus(g, values, orders=orders)
-        assert (trace.steps, trace.S_t) == reference_stop_rule(g, values,
-                                                               orders)
+    @pytest.mark.parametrize("part", range(12))
+    def test_counts_match_a_whole_state_stop_rule(self, part):
+        # every twelfth case, from ``part`` on
+        for g, values, orders in stop_rule_cases()[part::12]:
+            trace = run_consensus(g, values, orders=orders)
+            expected = reference_stop_rule(g, values, orders)
+            assert (trace.steps, trace.S_t) == expected
+            if len(set(values)) == 1:
+                assert expected == (0, 0)
 
     def test_a_held_mass_off_the_average_keeps_the_run_going(self):
         # On this 8-cycle every estimate is exact at step 5 and every
@@ -770,6 +800,28 @@ class TestVectorInputRules:
                 run_kmeans(g, values, [fv(0)])
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bad", [0.5, True, fractions.Fraction(1, 2)])
+    @pytest.mark.parametrize("where", ["consensus", "kmeans",
+                                       "centroid numerator",
+                                       "centroid denominator"])
+    def test_non_integers_are_rejected(self, where, bad):
+        g = cycle_digraph(4)
+        values = [(1,), (2,), (3,), (4,)]
+        centroids = [fv(0)]
+        what = "coordinates"
+        if where.startswith("centroid"):
+            centroids = [FractionVector((bad,)) if where.endswith("numerator")
+                         else FractionVector((1,), bad)]
+            what = "centroid numerators and denominators"
+        else:
+            values[1] = (bad,)
+        with pytest.raises(ValueError) as exc:
+            if where == "consensus":
+                run_consensus(g, values)
+            else:
+                run_kmeans(g, values, centroids)
+        assert str(exc.value) == f"{what} must be integers, not {bad!r}"
+
 
 class TestRunKMeans:
     def test_single_cluster_needs_two_calculations(self):
@@ -855,6 +907,13 @@ class TestRunKMeans:
         trace = run_kmeans(g, obs, [fv(2, 2), fv(8, 8)], max_rounds=1)
         assert not trace.terminated
         assert trace.T == 1
+
+    @pytest.mark.parametrize("d_bound", ["auto", 5])
+    def test_rejects_disconnected_graph(self, d_bound):
+        # ``diameter`` is the only connectivity check a clustering run makes
+        g = Digraph(4, [(1, 0), (2, 1), (3, 2)])
+        with pytest.raises(ValueError, match="not strongly connected"):
+            run_kmeans(g, [(i,) for i in range(4)], [fv(0)], d_bound=d_bound)
 
     def test_d_bound_below_diameter_rejected(self):
         g = cycle_digraph(6)     # diameter 5
@@ -1058,6 +1117,8 @@ class TestExperimentsAndSweep:
             ExperimentConfig(n=10, k=10).validate()
         with pytest.raises(ValueError):
             ExperimentConfig(dim=3).validate()     # region has 2 intervals
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            ExperimentConfig(extra_edge_probability=2).validate()
 
     def test_config_rejects_zero_dimensions(self):
         with pytest.raises(ValueError, match="dim must be a positive integer"):
