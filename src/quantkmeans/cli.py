@@ -17,7 +17,7 @@ from .exactmath import FractionVector
 from .graph import diameter, parse_edge_list, serialize_edge_list
 from .kmeans import parse_centroids, parse_observations
 from .oracle import check_equivalence, lloyd_reference
-from .sim import (T_SANITY_BAND, ExperimentConfig, ProtocolError, counters,
+from .sim import (ExperimentConfig, ProtocolError, counters,
                   generate_centroids, generate_graph, generate_observations,
                   run_consensus, run_kmeans, sweep)
 
@@ -315,8 +315,6 @@ def cmd_sweep(args) -> int:
         "config": config_dict,
         "t_mean": result.t_mean, "t_min": result.t_min, "t_max": result.t_max,
         "histogram": result.histogram,
-        "band": T_SANITY_BAND,
-        "band_violations": result.band_violations,
         "all_bounds_ok": result.all_bounds_ok,
     })
     # one column per scalar row key, then the final objective as a float
@@ -332,9 +330,6 @@ def cmd_sweep(args) -> int:
                list(enumerate(result.f_mean_curve)))
     print(f"seeds={args.seeds} t_mean={result.t_mean:.2f} "
           f"t_min={result.t_min} t_max={result.t_max}")
-    if result.band_violations:
-        print(f"warning: T outside sanity band {T_SANITY_BAND} for seeds "
-              f"{result.band_violations}", file=sys.stderr)
     unfinished = [r["seed"] for r in result.per_seed if not r["terminated"]]
     if unfinished:
         print(f"no termination within max_rounds={config.max_rounds} for "

@@ -84,13 +84,13 @@ def _edge_targets(g: Digraph, orders: EdgeOrdering | None,
     return targets
 
 
-# A run past its step bound reports ``bound_ok=False``; only a runaway this
-# many times over the bound raises.
-_RUNAWAY_FACTOR = 10
-
-
 # --------------------------------------------------------------------------
 # the lock-step engine
+
+
+# A run past its step bound reports ``bound_ok=False``; only a runaway this
+# many times over the bound raises, in ``_LockStep.deliver``.
+_RUNAWAY_FACTOR = 10
 
 
 class _MessageStats:
@@ -131,7 +131,8 @@ class _LockStep:
     only ``deliver`` and a firing change them, so an instance that received
     nothing keeps its last verdict.  The message counts, ``_MessageStats``
     and the log are added up per step.  Log entries are
-    ``(step_base + step, sender, receiver, label, z, y)``.
+    ``(step_base + step, sender, receiver, label, z, y)``.  ``deliver``
+    raises rather than pass ``_RUNAWAY_FACTOR`` times ``step_bound``.
 
     ``deliver`` and ``emit`` both mark the received pairs as touched (a check
     may fall between them).  ``check_conservation`` re-reads only touched
@@ -144,14 +145,16 @@ class _LockStep:
 
     def __init__(self, x: Sequence[tuple[int, ...]],
                  targets: Sequence[tuple[int, ...]], k: int,
-                 assignments: Sequence[int], stats: _MessageStats,
-                 log: Optional[list], step_base: int):
+                 assignments: Sequence[int], step_bound: int,
+                 stats: _MessageStats, log: Optional[list], step_base: int):
         dim = len(x[0])
         self.instances = [[ConsensusState(dim, t) for _ in range(k)]
                           for t in targets]
         self.stats = stats
         self.log = log
         self.step_base = step_base
+        self.step_bound = step_bound
+        self.cap = _RUNAWAY_FACTOR * step_bound
         self.steps = 1
         self.messages = 0
         # messages in flight: (receiver, label, mass)
@@ -172,6 +175,10 @@ class _LockStep:
     def deliver(self) -> list[tuple[int, int]]:
         """Advance one step: every message in flight reaches its receiver.
         Returns the received (node, label) pairs in ascending order."""
+        if self.steps > self.cap:
+            raise ProtocolError(
+                f"no stop within {_RUNAWAY_FACTOR} times the step bound "
+                f"{self.step_bound}")
         self.steps += 1
         instances = self.instances
         received = set()
@@ -274,6 +281,8 @@ class ConsensusTrace:
     average: FractionVector
     estimates: list[FractionVector]
     messages: int
+    max_mass_component: int
+    mass_payload_bits: int
     per_step_messages: list[int]
     message_log: Optional[list[tuple[int, int, int, int, tuple[int, ...]]]] = None
 
@@ -293,14 +302,14 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     targets = _edge_targets(g, orders)
 
     log: Optional[list] = [] if log_messages else None
+    stats = _MessageStats()
+    step_bound = n * g.m * g.m
     # Plain averaging is a round with a single label; its first step is 0.
-    lock = _LockStep(values, targets, 1, [0] * n, _MessageStats(), log, -1)
+    lock = _LockStep(values, targets, 1, [0] * n, step_bound, stats, log, -1)
     lock.emit([(j, 0) for j in range(n)])
     total_y = lock.totals[0][:-1]
     states = [row[0] for row in lock.instances]
     per_step = [lock.messages]
-    step_bound = n * g.m * g.m
-    cap = _RUNAWAY_FACTOR * step_bound
 
     def carries_average(y: tuple[int, ...], z: int) -> bool:
         return all(yi * n == ti * z for yi, ti in zip(y, total_y))
@@ -318,9 +327,6 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     unsettled_count = sum(node_unsettled)
     lock.check_conservation()
     while unsettled_count:
-        if lock.steps > cap:
-            raise ProtocolError(
-                f"no convergence within {cap} steps (bound {step_bound})")
         received = lock.deliver()
         lock.emit(received)
         per_step.append(len(lock.pending))
@@ -338,7 +344,9 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
         step_bound=step_bound, bound_ok=steps <= step_bound,
         average=FractionVector(total_y, n),
         estimates=[st.estimate for st in states],
-        messages=lock.messages, per_step_messages=per_step, message_log=log)
+        messages=lock.messages, max_mass_component=stats.max_component,
+        mass_payload_bits=stats.bits, per_step_messages=per_step,
+        message_log=log)
 
 
 # --------------------------------------------------------------------------
@@ -427,9 +435,8 @@ def _window_verdict(k: int, held: dict[tuple[int, int], tuple[int, ...]]):
 
 def _run_round(x: Sequence[tuple[int, ...]],
                targets: Sequence[tuple[int, ...]], k: int,
-               assignments: Sequence[int], window: int, m_edges: int,
-               step_cap: int, stats: _MessageStats,
-               log: Optional[list], step_base: int):
+               assignments: Sequence[int], window: int, step_bound: int,
+               stats: _MessageStats, log: Optional[list], step_base: int):
     """One full round of the inner loop: inject labeled masses under
     ``assignments`` (each node's nearest of the round's ``k`` centroids), run
     the averaging instances with windowed stopping, return when a window closes
@@ -442,25 +449,22 @@ def _run_round(x: Sequence[tuple[int, ...]],
     Every verdict reads the engine's ``held`` pairs: the first one the
     injected ``x_j/1`` under each node's label, before the opening ``emit``
     sends them, every later one the pairs right after the conservation
-    check."""
-    lock = _LockStep(x, targets, k, assignments, stats, log, step_base)
+    check.  Returns the round's steps, its mass messages and the closing
+    verdict; ``step_bound`` is the round's ``D + n*m^2``."""
+    lock = _LockStep(x, targets, k, assignments, step_bound, stats, log,
+                     step_base)
     verdict = _window_verdict(k, lock.held)
     received = list(lock.held)      # the injected pairs open the round
     merges = 0
     while True:
         lock.emit(received)
-        if lock.steps > step_cap:
-            raise ProtocolError(
-                f"round did not stop within {step_cap} steps")
         received = lock.deliver()
         merges += 1
         if merges == window:
             lock.check_conservation()
             if verdict is not None:
                 lock.check_conservation_scan()
-                # m extrema messages on every step but the closing one
-                return (lock.steps, lock.messages,
-                        m_edges * (lock.steps - 1), verdict)
+                return lock.steps, lock.messages, verdict
             verdict = _window_verdict(k, lock.held)
             merges = 0
 
@@ -501,16 +505,16 @@ def run_kmeans(g: Digraph, observations: Sequence[Sequence[int]],
     T = 0
     while T < max_rounds and not terminated:
         T += 1
-        steps, mass_msgs, ext_msgs, verdict = _run_round(
-            x, targets, k, assignments, window, g.m,
-            _RUNAWAY_FACTOR * round_bound, stats, log, C_t)
+        steps, mass_msgs, verdict = _run_round(
+            x, targets, k, assignments, window, round_bound, stats, log, C_t)
         current, unchanged = finalize_round(verdict, current)
         # unchanged centroids keep the previous assignments and objective
         if not unchanged:
             assignments = [assign_cluster(v, current) for v in x]
             objective = distance_objective(x, assignments, current)
-        rounds.append(RoundRecord(T, steps, mass_msgs, ext_msgs, current,
-                                  objective))
+        # m extrema messages on every step but the closing one
+        rounds.append(RoundRecord(T, steps, mass_msgs, g.m * (steps - 1),
+                                  current, objective))
         C_t += steps
         terminated = T >= 2 and unchanged
 
@@ -546,6 +550,10 @@ class ExperimentConfig:
     max_rounds: int = 100
 
     def validate(self) -> None:
+        _check_ints("n, k, dim, max_rounds and the seeds", (
+            self.n, self.k, self.dim, self.max_rounds, self.graph_seed,
+            self.observation_seed, self.centroid_seed))
+        _check_ints("region bounds", (b for iv in self.region for b in iv))
         _check_inputs(self.n, self.k, self.max_rounds, self.dim)
         check_edge_probability(self.extra_edge_probability)
         _check_d_bound(self.d_bound)
@@ -594,8 +602,6 @@ _GRAPH_STRIDE = 7919
 _OBS_STRIDE = 104729
 _CENTROID_STRIDE = 1299709
 
-T_SANITY_BAND = (1, 100)
-
 
 def config_for_seed(config: ExperimentConfig, index: int) -> ExperimentConfig:
     return replace(
@@ -613,7 +619,6 @@ class SweepResult:
     t_max: int
     histogram: list[tuple[int, int]]
     f_mean_curve: list[float]
-    band_violations: list[int]
     all_bounds_ok: bool
 
 
@@ -676,11 +681,8 @@ def sweep(config: ExperimentConfig, num_seeds: int,
             curve = row["objective_curve_float"]
             total += curve[idx] if idx < len(curve) else curve[-1]
         f_mean.append(total / len(results))
-    lo, hi = T_SANITY_BAND
-    violations = [row["seed"] for row in results if not lo <= row["T"] <= hi]
     return SweepResult(
         per_seed=results,
         t_mean=sum(ts) / len(ts), t_min=min(ts), t_max=max(ts),
         histogram=sorted(histogram.items()), f_mean_curve=f_mean,
-        band_violations=violations,
         all_bounds_ok=all(row["bound_ok"] for row in results))

@@ -26,6 +26,17 @@ def ladder_digraph(n):
     return Digraph(n, edges + [(s, i) for i in range(n - 2)])
 
 
+def eight_node_counterexample():
+    """An 8-node digraph (m=28, D=7) and integer values on which both step
+    bounds fail under the canonical orders: the smallest overshoot a local
+    search over edges and values found."""
+    edges = [(0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
+             (2, 4), (2, 5), (2, 6), (3, 2), (3, 4), (3, 6), (4, 6), (5, 1),
+             (5, 2), (5, 3), (5, 4), (5, 6), (6, 3), (6, 4), (7, 0), (7, 1),
+             (7, 2), (7, 4), (7, 5), (7, 6)]
+    return Digraph(8, edges), [(v,) for v in (3, 1, 0, 2, 2, 0, 2, 0)]
+
+
 def agreed_pairs(verdict):
     """The (nums, den) form of every certified value in a window verdict;
     a window that does not close certifies none."""
@@ -68,10 +79,10 @@ def over_step_bound(monkeypatch):
 
     run_round = sim._run_round
 
-    def long_round(x, targets, k, assignments, window, m_edges, *args):
-        steps, *rest = run_round(x, targets, k, assignments, window, m_edges,
-                                 *args)
-        return (steps + len(x) * m_edges ** 2 + window, *rest)
+    def long_round(x, targets, k, assignments, window, step_bound, *args):
+        steps, *rest = run_round(x, targets, k, assignments, window,
+                                 step_bound, *args)
+        return (steps + step_bound, *rest)
 
     monkeypatch.setattr(sim._LockStep, "deliver", slow_deliver)
     monkeypatch.setattr(sim, "_run_round", long_round)

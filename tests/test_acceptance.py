@@ -15,8 +15,8 @@ from quantkmeans.coordination import ClusterExtrema, extrema_merge, snapshot
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
-from quantkmeans.sim import (T_SANITY_BAND, ExperimentConfig, ProtocolError,
-                             run_consensus, run_kmeans, sweep)
+from quantkmeans.sim import (ExperimentConfig, ProtocolError, run_consensus,
+                             run_kmeans, sweep)
 
 SWEEP_CONFIG = ExperimentConfig(
     n=100, k=3, dim=2, region=((0, 50), (0, 50)),
@@ -194,10 +194,6 @@ def test_criterion_8_desk_scale_experiment(tmp_path, sweep_result):
     trajectories = (out / "trajectories.csv").read_text()
     assert len(fcurve.splitlines()) >= summary["T"] + 2
     assert len(trajectories.splitlines()) >= 3 * summary["T"] + 2
-    lo, hi = T_SANITY_BAND
-    if sweep_result.band_violations:
-        print(f"\n[criterion 8] WARNING: T outside [{lo}, {hi}] for seeds "
-              f"{sweep_result.band_violations}; investigate")
     assert sweep_result.t_min >= 1
     print(f"\n[criterion 8] PASS: single 100-node run terminated at "
           f"T={summary['T']} with F/trajectory data; sweep T in "

@@ -19,6 +19,8 @@ from quantkmeans.sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
                              RoundRecord, config_for_seed, run_consensus,
                              run_experiment, sweep)
 
+from conftest import eight_node_counterexample
+
 
 def read(path):
     return path.read_text(encoding="utf-8")
@@ -398,6 +400,24 @@ class TestStepBoundViolation:
         assert capsys.readouterr().err == (
             f"step bound exceeded: S_t={summary['S_t']} is above the "
             f"paper's bound {summary['step_bound']}\n")
+
+    def test_consensus_runaway_is_a_protocol_violation(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # at factor 1 the cap is n*m^2 = 6,272, below this run's S_t 8,357
+        g, values = eight_node_counterexample()
+        (tmp_path / "g.txt").write_text(serialize_edge_list(g),
+                                        encoding="utf-8")
+        (tmp_path / "v.txt").write_text("".join(f"{v}\n" for v, in values),
+                                        encoding="utf-8")
+        monkeypatch.setattr(sim, "_RUNAWAY_FACTOR", 1)
+        out = tmp_path / "out"
+        rc = main(["consensus", "--graph", str(tmp_path / "g.txt"),
+                   "--values", str(tmp_path / "v.txt"), "--out-dir", str(out)])
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "protocol violation: no stop within 1 times the step bound "
+                "6272\n")
+        assert not out.exists()
 
     def test_sweep_reports_and_exits_nonzero(self, tmp_path, capsys,
                                              over_step_bound):
@@ -856,8 +876,8 @@ class TestArtifactsPinned:
         monkeypatch.chdir(tmp_path)
         assert main(["sweep", *PIN_FLAGS, "--seeds", "3"]) == 0
         assert digests(tmp_path) == {
-            "sweep_aggregate.json": "32472e5e72fe5f4f497f0a29cf34b6be"
-                                    "f0af2a705abd4b93229a9029f899a720",
+            "sweep_aggregate.json": "303fad4acac8062bbca944a56d900300"
+                                    "8f6694bfb1006aa021330eec9e0cb17a",
             "sweep_fmean.csv": "14c8974b98a66fc22c5d18d272017ea6"
                                "fbcc54db624731edeb3da3807aa714fc",
             "sweep_per_seed.csv": "188d3aebd7a26ea4acd4cb97f84cc136"
@@ -878,8 +898,8 @@ class TestArtifactsPinned:
         assert digests(tmp_path) == {
             "consensus_messages.csv": "5a492c2bd17ee8a2fbdbebce66d8d5e8"
                                       "75750da9967677de9903ff33b835d7fa",
-            "consensus_summary.json": "326d320f2ea9032fa65dd7aa4d73b7a5"
-                                      "94edaff85b2a19b34e20f7686f032c04",
+            "consensus_summary.json": "10d3cce91a6ae5d2c00e365be16d7328"
+                                      "9a22f97690622dde2446a19a9ad93390",
             "consensus_trace.csv": "37a5241d47ae4643c190f6bc084f1e3d"
                                    "ad025f443e13953c1702319316a3ede0",
             "g.txt": "acff5e2cc9760c8ca32950cc60fa49d9"

@@ -1,5 +1,6 @@
 import fractions
 
+import pytest
 from hypothesis import given, strategies as st
 
 from quantkmeans.exactmath import Fraction, FractionVector, sq_dist_exact
@@ -35,10 +36,14 @@ class TestFraction:
         assert f.denominator == 2 and f.numerator == -1
         assert str(f) == "-1/2"
 
-    def test_zero_denominator_rejected(self):
-        import pytest
-        with pytest.raises(ZeroDivisionError):
-            Fraction(1, 0)
+    @pytest.mark.parametrize("build, message", [
+        (Fraction, "Fraction(1, 0)"),
+        (lambda num, den: FractionVector((num,), den),
+         "fraction denominator must be nonzero")], ids=["scalar", "vector"])
+    def test_zero_denominator_rejected(self, build, message):
+        with pytest.raises(ZeroDivisionError) as exc:
+            build(1, 0)
+        assert str(exc.value) == message
 
     def test_reduce(self):
         # reduced on construction
@@ -138,7 +143,6 @@ class TestSquaredDistance:
         assert sq_dist_exact((3,), FractionVector((7,), 2)) == 1
 
     def test_dimension_mismatch(self):
-        import pytest
         with pytest.raises(ValueError):
             sq_dist_exact((1, 2), FractionVector((1,), 1))
 

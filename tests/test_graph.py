@@ -244,7 +244,8 @@ class TestEdgeOrders:
 
 class TestEdgeListFormat:
     def test_parse_three_cycle(self):
-        g = parse_edge_list("3 3\n1 0\n2 1\n0 2\n")
+        # a blank line between edges is skipped
+        g = parse_edge_list("3 3\n1 0\n\n2 1\n0 2\n")
         assert g == cycle_digraph(3)
 
     def test_round_trip_on_random_graphs(self):
@@ -259,22 +260,35 @@ class TestEdgeListFormat:
         assert serialize_edge_list(g) == serialize_edge_list(
             generate_random_digraph(12, 0.4, seed=4))
 
-    def test_self_loop_reports_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_edge_list("2 1\n0 0\n")
-
-    def test_out_of_range_reports_line(self):
-        with pytest.raises(ValueError, match="line 3"):
-            parse_edge_list("3 2\n1 0\n5 1\n")
-
-    def test_malformed_line(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_edge_list("3 1\n1 0 9\n")
-
-    def test_duplicate_edge(self):
-        with pytest.raises(ValueError, match="line 3"):
-            parse_edge_list("3 2\n1 0\n1 0\n")
-
-    def test_count_mismatch(self):
-        with pytest.raises(ValueError, match="declares"):
-            parse_edge_list("3 3\n1 0\n2 1\n")
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: Digraph(0, []), "node count must be positive",
+                     id="no-nodes"),
+        pytest.param(lambda: Digraph(3, [(1, 1)]), "self-loop at node 1",
+                     id="self-loop"),
+        pytest.param(lambda: Digraph(3, [(3, 0)]),
+                     "edge (3, 0) out of range for n=3", id="out-of-range"),
+        pytest.param(lambda: parse_edge_list("\n1 0\n"),
+                     "line 1: expected header 'n m'", id="blank-header"),
+        pytest.param(lambda: parse_edge_list("3 2 1\n"),
+                     "line 1: expected header 'n m'", id="long-header"),
+        pytest.param(lambda: parse_edge_list("3 2\n1 0\n\n2 x\n"),
+                     "line 4: node ids must be integers",
+                     id="non-integer-id-after-a-blank-line"),
+        pytest.param(lambda: parse_edge_list("3 1\n1 0 9\n"),
+                     "line 2: expected 'receiver sender'",
+                     id="malformed-line"),
+        pytest.param(lambda: parse_edge_list("2 1\n0 0\n"),
+                     "line 2: self-loop at node 0", id="self-loop-line"),
+        pytest.param(lambda: parse_edge_list("3 2\n1 0\n5 1\n"),
+                     "line 3: node id out of range for n=3",
+                     id="out-of-range-line"),
+        pytest.param(lambda: parse_edge_list("3 2\n1 0\n1 0\n"),
+                     "line 3: duplicate edge (1, 0)", id="duplicate-edge"),
+        pytest.param(lambda: parse_edge_list("3 3\n1 0\n2 1\n"),
+                     "header declares 3 edges but 2 were given",
+                     id="count-mismatch"),
+    ])
+    def test_bad_input_is_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -71,14 +71,6 @@ class TestInitRound:
             assert len(node.begin_round(3, lam)) == 1
             assert sum(z for _, z in injected(node)) == 1
 
-    def test_rejects_out_of_range_label(self):
-        for label in (3, -1):
-            node = NodeKMeansState((5,), (1,))
-            with pytest.raises(ValueError) as err:
-                node.begin_round(3, label)
-            assert str(err.value) == \
-                f"cluster index {label} out of range for k=3"
-
 
 class TestFinalize:
     def test_unchanged_centroids_terminate(self):
@@ -99,10 +91,6 @@ class TestFinalize:
         assert updated[1] == fv(9, 9)
         assert done
 
-    def test_verdict_and_centroids_of_different_lengths_rejected(self):
-        with pytest.raises(ValueError, match="does not match"):
-            finalize_round((fv(1),), (fv(1), fv(2)))
-
     def test_value_based_termination(self):
         previous = (fv(4),)
         updated, done = finalize_round((fv(12, den=3),), previous)
@@ -113,12 +101,6 @@ class TestFiles:
     def test_observation_round_trip(self):
         text = "1 -2\n  3\t4 \n\n0 0\n"
         assert parse_observations(text) == [(1, -2), (3, 4), (0, 0)]
-
-    def test_observation_errors(self):
-        with pytest.raises(ValueError, match="line 2"):
-            parse_observations("1 2\n3.5 1\n")
-        with pytest.raises(ValueError, match="line 2"):
-            parse_observations("1 2\n3\n")
 
     def test_centroid_parse_mixed_tokens(self):
         rows = parse_centroids("1/2 3\n-4 5/5\n3/-4 0\n")
@@ -133,8 +115,31 @@ class TestFiles:
         assert rows == [fv(1, 6, den=2), fv(-4, 1), fv(-2, 15, den=6)]
         assert "".join(f"{c}\n" for c in rows) == text
 
-    def test_centroid_errors(self):
-        # fractions.Fraction would read the decimal and exponent forms
-        for text in ("x y\n", "1.5\n", "1e3\n", "1/0\n", "3/\n", "/2\n"):
-            with pytest.raises(ValueError, match="line 1"):
-                parse_centroids(text)
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: assign_cluster((0,), [fv(0)], tie_break="mid"),
+                 "tie_break must be 'low' or 'high'", id="tie-break"),
+    pytest.param(lambda: NodeKMeansState((5,), (1,)).begin_round(3, 3),
+                 "cluster index 3 out of range for k=3", id="label-above-k"),
+    pytest.param(lambda: NodeKMeansState((5,), (1,)).begin_round(3, -1),
+                 "cluster index -1 out of range for k=3", id="negative-label"),
+    pytest.param(lambda: finalize_round((fv(1),), (fv(1), fv(2))),
+                 "verdict length does not match the centroid count",
+                 id="verdict-length"),
+    pytest.param(lambda: parse_observations("1 2\n3.5 1\n"),
+                 "line 2: observations must be integers",
+                 id="non-integer-observation"),
+    pytest.param(lambda: parse_observations("1 2\n3\n"),
+                 "line 2: expected 2 coordinates", id="short-observation"),
+    pytest.param(lambda: parse_observations("\n"), "no observations found",
+                 id="no-observations"),
+    # fractions.Fraction would read the decimal and exponent forms
+    *(pytest.param(lambda text=text: parse_centroids(text),
+                   "line 1: bad centroid coordinate",
+                   id="centroid-" + text.strip())
+      for text in ("x y\n", "1.5\n", "1e3\n", "1/0\n", "3/\n", "/2\n")),
+])
+def test_bad_input_is_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

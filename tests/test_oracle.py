@@ -14,6 +14,23 @@ def fv(*nums, den=1):
     return FractionVector(tuple(nums), den)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: brute_average([]), "average of an empty collection",
+                 id="empty-average"),
+    pytest.param(lambda: brute_average([(1,), (1, 2)]), "dimension mismatch",
+                 id="average-dimension"),
+    pytest.param(lambda: lloyd_reference([(1,), (2,)], []),
+                 "at least one centroid is required", id="no-centroids"),
+    pytest.param(lambda: distance_objective([(1,), (2,)], [0], [fv(0)]),
+                 "one assignment per observation is required",
+                 id="objective-assignments"),
+])
+def test_bad_input_is_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 class TestBruteAverage:
     def test_scalars(self):
         value = brute_average([(2,), (4,), (6,)])
@@ -30,10 +47,6 @@ class TestBruteAverage:
         assert value.nums == (0,) and value.den == 2
         assert value == fv(0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            brute_average([])
-
 
 class TestLloyd:
     def test_hand_case_two_tight_clusters(self):
@@ -47,10 +60,6 @@ class TestLloyd:
         result = lloyd_reference([(1,), (2,), (6,)], [fv(0)])
         assert result.T == 2
         assert result.centroid_sets[-1][0] == fv(3)
-
-    def test_empty_initial_centroids_rejected(self):
-        with pytest.raises(ValueError, match="at least one centroid"):
-            lloyd_reference([(1,), (2,)], [])
 
     def test_objective_is_monotone(self):
         rng = random.Random(31)

@@ -17,8 +17,8 @@ from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
                              run_kmeans, sweep)
 
-from conftest import (agreed_pairs, cycle_digraph, flood_verdict,
-                      ladder_digraph)
+from conftest import (agreed_pairs, cycle_digraph, eight_node_counterexample,
+                      flood_verdict, ladder_digraph)
 
 
 def fv(*nums, den=1):
@@ -46,17 +46,6 @@ def stationary_distribution(g):
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return [row[-1] for row in rows]
-
-
-def eight_node_counterexample():
-    """An 8-node digraph (m=28, D=7) and integer values on which both step
-    bounds fail under the canonical orders: the smallest overshoot a local
-    search over edges and values found."""
-    edges = [(0, 4), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3),
-             (2, 4), (2, 5), (2, 6), (3, 2), (3, 4), (3, 6), (4, 6), (5, 1),
-             (5, 2), (5, 3), (5, 4), (5, 6), (6, 3), (6, 4), (7, 0), (7, 1),
-             (7, 2), (7, 4), (7, 5), (7, 6)]
-    return Digraph(8, edges), [(v,) for v in (3, 1, 0, 2, 2, 0, 2, 0)]
 
 
 def eulerian_digraph(seed):
@@ -217,7 +206,8 @@ class TestRunConsensus:
 
 def reference_consensus(g, values, orders):
     """The per-node protocol as a plain loop: every node runs ``node_step``
-    on its inbox at every step, with the stop rule of ``run_consensus``.
+    on its inbox at every step, with the whole-state stop rule: every
+    estimate exact, and every held and in-flight mass carrying the average.
     Returns the message log, S_t, the step count and the estimates."""
     n = g.n
     total = [sum(col) for col in zip(*values)]
@@ -258,6 +248,25 @@ def reference_consensus(g, values, orders):
         elif first_stable is None:
             first_stable = step
     return log, first_stable, step, [st.estimate for st in states]
+
+
+def assert_matches_reference(g, values, orders):
+    """``run_consensus`` must give ``reference_consensus``'s message log,
+    S_t, step count and estimates, and the payload statistics that
+    ``_MessageStats.record`` gives over that log.  Returns the trace."""
+    log, S_t, steps, estimates = reference_consensus(g, values, orders)
+    trace = run_consensus(g, values, orders=orders, log_messages=True)
+    assert trace.message_log == log
+    assert (trace.S_t, trace.steps) == (S_t, steps)
+    assert [(e.nums, e.den) for e in trace.estimates] == \
+           [(e.nums, e.den) for e in estimates]
+    assert trace.messages == len(log)
+    stats = sim._MessageStats()
+    for _, _, _, z, y in log:
+        stats.record(Mass(y, z))
+    assert (trace.max_mass_component, trace.mass_payload_bits) == \
+           (stats.max_component, stats.bits)
+    return trace
 
 
 def reference_kmeans(g, obs, cents, orders):
@@ -321,13 +330,7 @@ class TestLockStepMatchesPerNodeReference:
                                     big - rng.randint(1, 9)))
                         for _ in range(dim)) for _ in range(n)]
         orders = assign_edge_orders(g, seed=case if case % 3 else None)
-        log, S_t, steps, estimates = reference_consensus(g, values, orders)
-        trace = run_consensus(g, values, orders=orders, log_messages=True)
-        assert trace.message_log == log
-        assert (trace.S_t, trace.steps) == (S_t, steps)
-        assert [(e.nums, e.den) for e in trace.estimates] == \
-               [(e.nums, e.den) for e in estimates]
-        assert trace.messages == len(log)
+        assert_matches_reference(g, values, orders)
 
 
 class TestRunsCallNoPerNodeMethod:
@@ -590,41 +593,6 @@ class TestPollingReceivedPairs:
         assert trace.terminated
 
 
-def reference_stop_rule(g, values, orders):
-    """``run_consensus``'s loop on the same engine, with its stop rule
-    recomputed over every node at every step.  Returns (steps, S_t)."""
-    n = g.n
-    total = [sum(col) for col in zip(*values)]
-    targets = [orders.targets(j) for j in range(n)]
-    lock = sim._LockStep(values, targets, 1, [0] * n, sim._MessageStats(),
-                         None, -1)
-    lock.emit(list(lock.held))
-    states = [row[0] for row in lock.instances]
-
-    def carries_average(y, z):
-        return all(yi * n == ti * z for yi, ti in zip(y, total))
-
-    def estimates_exact():
-        return all(st.stored_z and carries_average(st.stored_y, st.stored_z)
-                   for st in states)
-
-    def masses_settled():
-        masses = [(st.held_y, st.held_z) for st in states]
-        masses += [(mass.y, mass.z) for _, _, mass in lock.pending]
-        return all(carries_average(y, z) for y, z in masses)
-
-    step = 0
-    first_stable = 0 if estimates_exact() else None
-    while first_stable is None or not masses_settled():
-        step += 1
-        lock.emit(lock.deliver())
-        if not estimates_exact():
-            first_stable = None
-        elif first_stable is None:
-            first_stable = step
-    return step, first_stable
-
-
 def held_mass_case(seed):
     """Small graphs with values in -1..1, where a run can reach a step at
     which every estimate is exact but a held mass is not."""
@@ -637,11 +605,12 @@ def held_mass_case(seed):
 
 
 def stop_rule_cases():
-    """Inputs on which ``run_consensus``'s stop step is held to the
-    whole-state rule: 200 random cases, the ladders and the 8-node
-    counterexample, whose runs overshoot the step bound, all-equal values,
-    and the five ``held_mass_case`` seeds in 0..5999 whose runs reach a
-    step with every estimate exact and a held mass off the average."""
+    """Inputs on which ``run_consensus`` is held to ``reference_consensus``
+    and its whole-state stop rule: 200 random cases, the ladders and the
+    8-node counterexample, whose runs overshoot the step bound, all-equal
+    values, and the five ``held_mass_case`` seeds in 0..5999 whose runs
+    reach a step with every estimate exact and a held mass off the
+    average."""
     cases = [random_consensus_case(seed) for seed in range(200)]
     graphs = [(ladder_digraph(n), [(i % 3,) for i in range(n)])
               for n in range(6, 13)]
@@ -657,11 +626,9 @@ class TestStopRuleCounts:
     def test_counts_match_a_whole_state_stop_rule(self, part):
         # every twelfth case, from ``part`` on
         for g, values, orders in stop_rule_cases()[part::12]:
-            trace = run_consensus(g, values, orders=orders)
-            expected = reference_stop_rule(g, values, orders)
-            assert (trace.steps, trace.S_t) == expected
+            trace = assert_matches_reference(g, values, orders)
             if len(set(values)) == 1:
-                assert expected == (0, 0)
+                assert (trace.steps, trace.S_t) == (0, 0)
 
     def test_a_held_mass_off_the_average_keeps_the_run_going(self):
         # On this 8-cycle every estimate is exact at step 5 and every
@@ -670,10 +637,8 @@ class TestStopRuleCounts:
         g = Digraph(8, [(0, 1), (1, 4), (4, 5), (5, 2), (2, 6), (6, 3),
                         (3, 7), (7, 0)])
         values = [(1,), (0,), (-1,), (-1,), (-1,), (1,), (0,), (1,)]
-        orders = assign_edge_orders(g)
-        trace = run_consensus(g, values, orders=orders)
-        assert (trace.steps, trace.S_t) == (21, 21) == \
-            reference_stop_rule(g, values, orders)
+        trace = assert_matches_reference(g, values, assign_edge_orders(g))
+        assert (trace.steps, trace.S_t) == (21, 21)
 
 
 class TestReportedGuarantees:
@@ -685,6 +650,34 @@ class TestReportedGuarantees:
                            [fv(0), fv(3)])
         assert trace.C_t > trace.step_bound
         assert trace.bound_ok is False
+
+    @pytest.mark.parametrize("runner, bound", [("consensus", 6272),
+                                               ("kmeans", 6279)])
+    def test_a_runaway_past_the_factor_raises(self, monkeypatch, runner,
+                                              bound):
+        # At factor 1 the cap is the step bound itself: n*m^2 = 6,272 for
+        # plain averaging, whose S_t is 8,357, and D + n*m^2 = 6,279 for a
+        # clustering round of 7,169 steps.  The engine's step counter
+        # starts at 1, so the raise comes before the delivery of step
+        # bound + 1.
+        g, values = eight_node_counterexample()
+        deliver = sim._LockStep.deliver
+        reached = []
+
+        def counted(lock):
+            reached.append(lock.steps)
+            return deliver(lock)
+
+        monkeypatch.setattr(sim._LockStep, "deliver", counted)
+        monkeypatch.setattr(sim, "_RUNAWAY_FACTOR", 1)
+        with pytest.raises(ProtocolError) as exc:
+            if runner == "consensus":
+                run_consensus(g, values)
+            else:
+                run_kmeans(g, values, [fv(0), fv(2)])
+        assert str(exc.value) == \
+            f"no stop within 1 times the step bound {bound}"
+        assert reached[-1] == bound + 1
 
     def test_all_bounds_ok_is_false_when_one_seed_overshoots(self,
                                                              monkeypatch):
@@ -1099,6 +1092,9 @@ class TestDistanceObjective:
         assert isinstance(value, Fraction) and value == expected
 
 
+INT_FIELDS = "n, k, dim, max_rounds and the seeds must be integers, "
+
+
 class TestExperimentsAndSweep:
     def test_run_experiment_is_deterministic(self):
         cfg = ExperimentConfig(n=12, k=2, dim=2, region=((0, 20), (0, 20)),
@@ -1110,24 +1106,31 @@ class TestExperimentsAndSweep:
         assert [str(c) for c in a.rounds[-1].centroids] == \
                [str(c) for c in b.rounds[-1].centroids]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(n=2).validate()
-        with pytest.raises(ValueError):
-            ExperimentConfig(n=10, k=10).validate()
-        with pytest.raises(ValueError):
-            ExperimentConfig(dim=3).validate()     # region has 2 intervals
-        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            ExperimentConfig(extra_edge_probability=2).validate()
-
-    def test_config_rejects_zero_dimensions(self):
-        with pytest.raises(ValueError, match="dim must be a positive integer"):
-            ExperimentConfig(dim=0, region=()).validate()
-
-    def test_config_rejects_an_empty_region_interval(self):
+    @pytest.mark.parametrize("changes, message", [
+        (dict(n=2), "the protocol requires more than 2 nodes"),
+        (dict(n=10, k=10), "k must satisfy 1 <= k < n"),
+        (dict(dim=3), "one region interval per dimension is required"),
+        (dict(dim=0, region=()), "dim must be a positive integer"),
+        (dict(extra_edge_probability=2),
+         "extra_edge_probability must lie in [0, 1]"),
+        (dict(region=((0, 50), (5, 4))), "region intervals must be nonempty"),
+        # every integer field and bound is type-checked before it is used
+        (dict(n=6.0), INT_FIELDS + "not 6.0"),
+        (dict(k=True), INT_FIELDS + "not True"),
+        (dict(dim=2.0), INT_FIELDS + "not 2.0"),
+        (dict(max_rounds=2.5), INT_FIELDS + "not 2.5"),
+        (dict(graph_seed=1.5), INT_FIELDS + "not 1.5"),
+        (dict(observation_seed="2"), INT_FIELDS + "not '2'"),
+        (dict(centroid_seed=None), INT_FIELDS + "not None"),
+        (dict(region=((0, 50), (0.5, 3))),
+         "region bounds must be integers, not 0.5"),
+        (dict(dim=1, region=((0, 3.0),)),
+         "region bounds must be integers, not 3.0"),
+    ])
+    def test_config_validation(self, changes, message):
         with pytest.raises(ValueError) as exc:
-            ExperimentConfig(region=((0, 50), (5, 4))).validate()
-        assert str(exc.value) == "region intervals must be nonempty"
+            ExperimentConfig(**changes).validate()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("d_bound", [None, 3.7, "3", True])
     def test_config_d_bound_is_checked_before_any_seed_runs(
