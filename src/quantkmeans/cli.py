@@ -27,8 +27,7 @@ SCHEMA_PREFIX = "quantkmeans"
 def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
     lines = ["# config: " + json.dumps(config, sort_keys=True),
              ",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
+    lines += (",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -244,12 +243,10 @@ def cmd_kmeans(args) -> int:
     trace = run_kmeans(g, observations, centroids,
                        d_bound=config.d_bound, max_rounds=config.max_rounds,
                        log_messages=args.log_messages)
-    config_dict = asdict(config)
-    config_dict.update({
-        "command": "kmeans",
-        "graph_file": args.graph, "observations_file": args.observations,
-        "centroids_file": args.centroids,
-    })
+    config_dict = {**asdict(config), "command": "kmeans",
+                   "graph_file": args.graph,
+                   "observations_file": args.observations,
+                   "centroids_file": args.centroids}
     report = check_equivalence(trace, lloyd_reference(
         observations, centroids, max_rounds=config.max_rounds))
     equivalence = "pass" if report.passed else "fail"

@@ -8,7 +8,6 @@ receive from node i, i.e. a directed link i -> j.  Node identifiers are
 from __future__ import annotations
 
 import random
-from collections import deque
 from typing import Iterable
 
 
@@ -86,29 +85,6 @@ class EdgeOrdering:
         return self._targets.get(j, ())
 
 
-def _bfs_distances(g: Digraph, source: int, reverse: bool = False) -> list[int]:
-    """Directed BFS hop counts from source; -1 marks unreachable nodes."""
-    nbrs = g.in_neighbors if reverse else g.out_neighbors
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in nbrs(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def is_strongly_connected(g: Digraph) -> bool:
-    forward = _bfs_distances(g, 0)
-    if min(forward) < 0:
-        return False
-    backward = _bfs_distances(g, 0, reverse=True)
-    return min(backward) >= 0
-
-
 def diameter(g: Digraph) -> int:
     """Longest shortest directed path over all ordered node pairs.
 
@@ -135,6 +111,14 @@ def diameter(g: Digraph) -> int:
         reach = grown
         level += 1
     return level
+
+
+def is_strongly_connected(g: Digraph) -> bool:
+    """Whether every node reaches every other: ``diameter``'s pass ends."""
+    try:
+        return diameter(g) >= 0
+    except ValueError:
+        return False
 
 
 def check_edge_probability(extra_edge_probability: float) -> None:

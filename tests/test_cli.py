@@ -19,7 +19,7 @@ from quantkmeans.sim import (ConsensusTrace, ExperimentConfig, KMeansTrace,
                              RoundRecord, config_for_seed, run_consensus,
                              run_experiment, sweep)
 
-from conftest import eight_node_counterexample
+from conftest import NOT_STRONGLY_CONNECTED, eight_node_counterexample
 
 
 def read(path):
@@ -124,16 +124,6 @@ class TestConsensusCommand:
         assert summary["S_t"] <= summary["step_bound"]
         trace = read(tmp_path / "consensus_trace.csv")
         assert trace.startswith("# config:")
-
-    def test_disconnected_graph_refused(self, tmp_path, capsys):
-        graph = tmp_path / "g.txt"
-        graph.write_text("3 2\n1 0\n2 1\n", encoding="utf-8")
-        values = tmp_path / "v.txt"
-        values.write_text("1\n2\n3\n", encoding="utf-8")
-        rc = main(["consensus", "--graph", str(graph), "--values", str(values),
-                   "--out-dir", str(tmp_path)])
-        assert rc == 1
-        assert "strongly connected" in capsys.readouterr().err
 
     def test_vector_values(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -451,6 +441,23 @@ class TestGraphInputErrors:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {prefix}{message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("consensus", {"--values": "1\n2\n3\n"}),
+        ("kmeans", {"--observations": "1 1\n2 2\n3 3\n",
+                    "--centroids": "0 0\n"})])
+    def test_disconnected_graph_refused(self, tmp_path, capsys, command,
+                                        inputs):
+        # a one-way chain: both commands reject it with ``diameter``'s line
+        args = [command]
+        for flag, text in {"--graph": "3 2\n1 0\n2 1\n", **inputs}.items():
+            path = tmp_path / f"{flag[2:]}.txt"
+            path.write_text(text, encoding="utf-8")
+            args += [flag, str(path)]
+        out = tmp_path / "out"
+        assert main(args + ["--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {NOT_STRONGLY_CONNECTED}\n"
+        assert not out.exists()
 
 
 class TestInputFileErrors:

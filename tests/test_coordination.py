@@ -5,15 +5,11 @@ import pytest
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState
 from quantkmeans.coordination import extrema_merge, snapshot, window_check
-from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
 from quantkmeans.kmeans import NodeKMeansState
 
-from conftest import agreed_pairs, cycle_digraph, flood_verdict
-
-
-def fv(*nums, den=1):
-    return FractionVector(tuple(nums), den)
+from conftest import (agreed_pairs, cycle_digraph, flood_verdict, fold_verdict,
+                      fv)
 
 
 class TestSnapshot:
@@ -115,12 +111,6 @@ class TestFloodedExtremaMatchDirectComputation:
                     down = entry.lower.components()[dim]
                     assert fractions.Fraction(up.numerator, up.denominator) == hi
                     assert fractions.Fraction(down.numerator, down.denominator) == lo
-
-
-def fold_verdict(snapshots):
-    """The max/min consensus of one window folded over all nodes'
-    snapshots; the simulator's equality verdict must match it."""
-    return window_check(extrema_merge(snapshots[0], snapshots[1:]))
 
 
 def held_pairs(columns):

@@ -9,9 +9,7 @@ from quantkmeans.kmeans import (NodeKMeansState, assign_cluster,
                                 finalize_round, parse_centroids,
                                 parse_observations)
 
-
-def fv(*nums, den=1):
-    return FractionVector(tuple(nums), den)
+from conftest import fv
 
 
 class TestAssign:

@@ -2,16 +2,13 @@ import random
 
 import pytest
 
-from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import generate_random_digraph
 from quantkmeans.kmeans import assign_cluster
 from quantkmeans.oracle import (brute_average, check_equivalence,
                                 lloyd_reference)
 from quantkmeans.sim import distance_objective, run_kmeans
 
-
-def fv(*nums, den=1):
-    return FractionVector(tuple(nums), den)
+from conftest import fv
 
 
 @pytest.mark.parametrize("call, message", [

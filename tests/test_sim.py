@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from quantkmeans import sim
 from quantkmeans.consensus import ConsensusState, Mass
-from quantkmeans.coordination import extrema_merge, snapshot, window_check
+from quantkmeans.coordination import snapshot
 from quantkmeans.exactmath import Fraction, FractionVector
 from quantkmeans.graph import (Digraph, assign_edge_orders, diameter,
                                generate_random_digraph)
@@ -17,12 +17,9 @@ from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
                              run_kmeans, sweep)
 
-from conftest import (agreed_pairs, cycle_digraph, eight_node_counterexample,
-                      flood_verdict, ladder_digraph)
-
-
-def fv(*nums, den=1):
-    return FractionVector(tuple(nums), den)
+from conftest import (NOT_STRONGLY_CONNECTED, agreed_pairs, cycle_digraph,
+                      eight_node_counterexample, flood_verdict, fold_verdict,
+                      fv, ladder_digraph)
 
 
 def stationary_distribution(g):
@@ -182,9 +179,14 @@ class TestRunConsensus:
             assert all(e == average for e in trace.estimates)
             assert trace.S_t <= trace.step_bound
 
-    def test_rejects_disconnected_graph(self):
-        with pytest.raises(ValueError, match="strongly connected"):
-            run_consensus(Digraph(3, [(1, 0), (2, 1)]), [(1,), (2,), (3,)])
+    @pytest.mark.parametrize("run", [
+        pytest.param(run_consensus, id="consensus"),
+        pytest.param(lambda g, x: run_kmeans(g, x, [fv(0)]), id="kmeans")])
+    def test_rejects_disconnected_graph(self, run):
+        # both runners check connectivity through ``diameter`` alone
+        with pytest.raises(ValueError) as exc:
+            run(Digraph(3, [(1, 0), (2, 1)]), [(1,), (2,), (3,)])
+        assert str(exc.value) == NOT_STRONGLY_CONNECTED
 
     def test_rejects_tiny_networks(self):
         with pytest.raises(ValueError):
@@ -283,8 +285,7 @@ def reference_kmeans(g, obs, cents, orders):
     centroid_sets, round_steps, log = [tuple(cents)], [], []
 
     def fold(values):
-        every = [snapshot(v) for v in values]
-        return window_check(extrema_merge(every[0], every[1:]))
+        return fold_verdict([snapshot(v) for v in values])
 
     while len(round_steps) < 2 or centroid_sets[-1] != centroid_sets[-2]:
         base, step, pending = sum(round_steps), 1, []
@@ -750,7 +751,7 @@ def check_verdicts_by_flood(monkeypatch, g, window):
             rebuilt[j][cl] = FractionVector(y, z).reduced()
         assert list(map(snapshot, rebuilt)) == every
         verdict = window_verdict(k, held)
-        fold = window_check(extrema_merge(every[0], every[1:]))
+        fold = fold_verdict(every)
         assert fold == verdict
         assert agreed_pairs(fold) == agreed_pairs(verdict)
         assert flood_verdict(in_nbrs, every, window) == verdict
@@ -1126,6 +1127,12 @@ class TestExperimentsAndSweep:
          "region bounds must be integers, not 0.5"),
         (dict(dim=1, region=((0, 3.0),)),
          "region bounds must be integers, not 3.0"),
+        # each interval is a (lo, hi) pair before its bounds are read
+        (dict(region=((0, 50, 7), (0, 50))),
+         "region ((0, 50, 7), (0, 50)) must be (lo, hi) pairs"),
+        (dict(region=((0, 50), 5)),
+         "region ((0, 50), 5) must be (lo, hi) pairs"),
+        (dict(region=5), "region 5 must be (lo, hi) pairs"),
     ])
     def test_config_validation(self, changes, message):
         with pytest.raises(ValueError) as exc:
