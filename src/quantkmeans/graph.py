@@ -14,11 +14,11 @@ from typing import Iterable
 class Digraph:
     """Immutable directed graph without self-loops.
 
-    In-neighbor and out-neighbor lists are precomputed and sorted so that
-    every traversal of the graph is deterministic.
+    Out-neighbor lists are precomputed and sorted so that every traversal
+    of the graph is deterministic.
     """
 
-    __slots__ = ("n", "edges", "_in", "_out")
+    __slots__ = ("n", "edges", "_out")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -29,22 +29,16 @@ class Digraph:
                 raise ValueError(f"self-loop at node {j}")
             if not (0 <= j < n and 0 <= i < n):
                 raise ValueError(f"edge ({j}, {i}) out of range for n={n}")
-        ins: list[list[int]] = [[] for _ in range(n)]
         outs: list[list[int]] = [[] for _ in range(n)]
         for j, i in edge_set:
-            ins[j].append(i)
             outs[i].append(j)
         self.n = n
         self.edges = edge_set
-        self._in = tuple(tuple(sorted(v)) for v in ins)
         self._out = tuple(tuple(sorted(v)) for v in outs)
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def in_neighbors(self, j: int) -> tuple[int, ...]:
-        return self._in[j]
 
     def out_neighbors(self, j: int) -> tuple[int, ...]:
         return self._out[j]
@@ -121,10 +115,11 @@ def is_strongly_connected(g: Digraph) -> bool:
         return False
 
 
-def check_edge_probability(extra_edge_probability: float) -> None:
-    """The extra-edge probability of a random digraph lies in [0, 1]."""
-    if not 0.0 <= extra_edge_probability <= 1.0:
-        raise ValueError("extra_edge_probability must lie in [0, 1]")
+def check_edge_probability(p: float) -> None:
+    """The extra-edge probability is an ``int`` or ``float`` in [0, 1]."""
+    if type(p) not in (int, float) or not 0 <= p <= 1:
+        raise ValueError(
+            f"extra_edge_probability must lie in [0, 1], not {p!r}")
 
 
 def generate_random_digraph(n: int, extra_edge_probability: float,

@@ -32,7 +32,7 @@ class ProtocolError(RuntimeError):
 
 
 def _check_ints(what: str, values) -> None:
-    bad = [v for v in values if isinstance(v, bool) or not isinstance(v, int)]
+    bad = [v for v in values if type(v) is not int]
     if bad:
         raise ValueError(f"{what} must be integers, not {bad[0]!r}")
 
@@ -56,7 +56,7 @@ def _check_inputs(n: int, k: int, max_rounds: int, dim: int = 0,
         raise ValueError("dim must be a positive integer")
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k < n")
-    if max_rounds < 1:
+    if type(max_rounds) is not int or max_rounds < 1:
         raise ValueError("max_rounds must be a positive integer")
     return dim
 
@@ -64,8 +64,7 @@ def _check_inputs(n: int, k: int, max_rounds: int, dim: int = 0,
 def _check_d_bound(d_bound) -> None:
     """``d_bound`` is ``"auto"`` (the diameter) or an ``int`` that is not a
     ``bool``."""
-    if d_bound != "auto" and (isinstance(d_bound, bool)
-                              or not isinstance(d_bound, int)):
+    if d_bound != "auto" and type(d_bound) is not int:
         raise ValueError(
             f"d_bound must be 'auto' or an integer, not {d_bound!r}")
 
@@ -656,9 +655,9 @@ def sweep(config: ExperimentConfig, num_seeds: int,
     the seeds run in a pool of at most one process per seed.  Results are
     merged in seed order, so the aggregate does not depend on the worker
     count."""
-    if num_seeds < 1:
+    if type(num_seeds) is not int or num_seeds < 1:
         raise ValueError("num_seeds must be positive")
-    if workers is not None and workers < 1:
+    if workers is not None and (type(workers) is not int or workers < 1):
         raise ValueError("workers must be a positive integer")
     config.validate()
     jobs = [(config, index) for index in range(num_seeds)]

@@ -51,17 +51,28 @@ def agreed_pairs(verdict):
     return [(v.nums, v.den) for v in verdict or () if v is not None]
 
 
-def flood_verdict(in_nbrs, snapshots, rounds):
-    """Reference for one stopping window as the protocol runs it: every node
-    merges the extrema of its in-neighbors (``in_nbrs[j]``) for ``rounds``
-    synchronous rounds, then closes the window on its own state.  Returns
-    the verdict all nodes reached; raises ValueError when two nodes reach
-    different verdicts, which ``rounds`` below the diameter can cause."""
-    states = list(snapshots)
+def flood(g, states, rounds):
+    """The max/min consensus as the protocol floods it: for ``rounds``
+    synchronous rounds every node of ``g`` merges the extrema of its
+    in-neighbors, in ascending id, into its own.  Returns every node's
+    state."""
+    in_nbrs = [[] for _ in range(g.n)]
+    for j, i in sorted(g.edges):
+        in_nbrs[j].append(i)
+    states = list(states)
     for _ in range(rounds):
         states = [extrema_merge(states[j], [states[i] for i in in_nbrs[j]])
-                  for j in range(len(states))]
-    verdicts = [window_check(state) for state in states]
+                  for j in range(g.n)]
+    return states
+
+
+def flood_verdict(g, snapshots, rounds):
+    """Reference for one stopping window as the protocol runs it: the nodes
+    ``flood`` their snapshots for ``rounds`` rounds, then each closes the
+    window on its own state.  Returns the verdict all nodes reached; raises
+    ValueError when two nodes reach different verdicts, which ``rounds``
+    below the diameter can cause."""
+    verdicts = [window_check(state) for state in flood(g, snapshots, rounds)]
     if any(v != verdicts[0] for v in verdicts):
         raise ValueError("stopping verdicts diverged across nodes")
     return verdicts[0]

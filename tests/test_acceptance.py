@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, each printing a pass line.
+"""Acceptance suite: one test per criterion, each printing a pass line,
+and one clustering and one averaging run pinned at the paper's 1000 nodes.
 
 Run with ``pytest -s tests/test_acceptance.py -v`` to see the per-criterion
 report.  The heavier fixtures (the 200-graph averaging batch, the 50-instance
@@ -11,12 +12,15 @@ import random
 import pytest
 
 from quantkmeans.cli import main as cli_main
-from quantkmeans.coordination import ClusterExtrema, extrema_merge, snapshot
+from quantkmeans.coordination import ClusterExtrema, snapshot
 from quantkmeans.exactmath import FractionVector
 from quantkmeans.graph import diameter, generate_random_digraph
 from quantkmeans.oracle import brute_average, check_equivalence, lloyd_reference
-from quantkmeans.sim import (ExperimentConfig, ProtocolError, run_consensus,
-                             run_kmeans, sweep)
+from quantkmeans.sim import (ExperimentConfig, ProtocolError,
+                             generate_centroids, generate_observations,
+                             run_consensus, run_experiment, run_kmeans, sweep)
+
+from conftest import flood
 
 SWEEP_CONFIG = ExperimentConfig(
     n=100, k=3, dim=2, region=((0, 50), (0, 50)),
@@ -117,22 +121,25 @@ def test_criterion_2_mass_conservation(consensus_batch, delivery_leak):
 
 
 def test_criterion_3_extrema_flood_in_diameter_rounds():
+    # One or two dimensions; on some graphs about 30% of the nodes hold no
+    # value, and those adopt the extrema of the nodes that do.
     rng = random.Random(3003)
     checked = 0
     for _ in range(100):
         n = rng.randint(4, 50)
         g = generate_random_digraph(n, rng.choice([0.0, 0.05, 0.15, 0.4]),
                                     seed=rng.randint(0, 10 ** 9))
-        rounds = diameter(g)
-        values = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
-        states = [snapshot([FractionVector((v,))]) for v in values]
-        for _ in range(rounds):
-            states = [extrema_merge(states[j],
-                                    [states[i] for i in g.in_neighbors(j)])
-                      for j in range(n)]
-        extrema = (ClusterExtrema(FractionVector((max(values),)),
-                                  FractionVector((min(values),))),)
-        assert states == [extrema] * n
+        dim, absent = rng.choice([1, 2]), rng.choice([0.0, 0.3])
+        values = [None if rng.random() < absent else
+                  tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(dim))
+                  for _ in range(n)]
+        values[0] = values[0] or (1,) * dim
+        present = [v for v in values if v is not None]
+        states = [snapshot([v and FractionVector(v)]) for v in values]
+        upper, lower = (FractionVector(tuple(map(f, zip(*present))))
+                        for f in (max, min))
+        assert flood(g, states, diameter(g)) \
+            == [(ClusterExtrema(upper, lower),)] * n
         checked += 1
     print(f"\n[criterion 3] PASS: global extrema reached after exactly D "
           f"merge rounds on {checked} graphs")
@@ -220,3 +227,30 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
     assert graph_a.read_bytes() == graph_b.read_bytes()
     print(f"\n[criterion 9] PASS: repeated runs produced byte-identical "
           f"artifacts ({len(names) + 1} files compared)")
+
+
+def test_paper_scale_clustering_run():
+    config = ExperimentConfig(n=1000, k=3, extra_edge_probability=0.005)
+    trace = run_experiment(config)
+    assert (trace.T, trace.C_t, trace.mass_messages,
+            trace.mass_payload_bits) == (13, 91637, 326291, 11072289)
+    assert trace.terminated and trace.bound_ok and trace.silent_after_stop
+    reference = lloyd_reference(generate_observations(config),
+                                generate_centroids(config))
+    report = check_equivalence(trace, reference)
+    assert report.passed, report.detail
+    print(f"\n[paper scale] PASS: 1000 nodes, k=3: T={trace.T}, "
+          f"C_t={trace.C_t}, equal to the centralized reference")
+
+
+def test_paper_scale_averaging_run():
+    g = generate_random_digraph(1000, 0.005, 1)
+    rng = random.Random(6)
+    values = [(rng.randint(-1000, 1000), rng.randint(-1000, 1000))
+              for _ in range(g.n)]
+    trace = run_consensus(g, values)
+    assert (g.m, trace.S_t, trace.messages) == (5987, 28824, 31166)
+    assert trace.bound_ok
+    assert all(e == brute_average(values) for e in trace.estimates)
+    print(f"\n[paper scale] PASS: 1000-node averaging reached the exact "
+          f"average at S_t={trace.S_t}")

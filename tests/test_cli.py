@@ -333,12 +333,15 @@ class TestKMeansCommand:
         assert config("0:7") == config("0:7,0:7,0:7") == \
             ExperimentConfig(dim=3, region=((0, 7),) * 3)
 
-    def test_one_interval_runs_at_the_default_dimension(self, tmp_path):
-        rc = main(["kmeans", "--n", "5", "--k", "2", "--region", "0:3",
+    @pytest.mark.parametrize("lo, hi", [(0, 3), (5, 5)])
+    def test_one_interval_runs_at_the_default_dimension(self, tmp_path, lo,
+                                                        hi):
+        # a one-point interval is nonempty
+        rc = main(["kmeans", "--n", "5", "--k", "2", "--region", f"{lo}:{hi}",
                    "--out-dir", str(tmp_path)])
         assert rc == 0
         summary = json.loads(read(tmp_path / "kmeans_summary.json"))
-        assert summary["config"]["region"] == [[0, 3], [0, 3]]
+        assert summary["config"]["region"] == [[lo, hi], [lo, hi]]
 
     def test_dim_without_one_interval_each_is_an_input_error(self, tmp_path,
                                                             capsys):
@@ -428,7 +431,7 @@ class TestGraphInputErrors:
     # protocol violations.
     @pytest.mark.parametrize("flags, message", [
         (["--n", "10", "--extra-edge-probability", "2"],
-         "extra_edge_probability must lie in [0, 1]"),
+         "extra_edge_probability must lie in [0, 1], not 2.0"),
         (["--n", "30", "--d-bound", "1"],
          "diameter bound 1 is below the true diameter 8")])
     @pytest.mark.parametrize("command, prefix, extra", [
@@ -531,10 +534,11 @@ class TestSweepCommand:
         assert [row.split(",")[column] for row in rows] == ["False"] * 3
 
     def test_sweep_outputs_are_deterministic(self, tmp_path):
+        # one worker is the serial sweep
         base = ["sweep", *SWEEP_FLAGS, "--seeds", "3"]
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        main(base + ["--out-dir", str(dir_a)])
-        main(base + ["--out-dir", str(dir_b)])
+        assert main(base + ["--out-dir", str(dir_a)]) == 0
+        assert main(base + ["--workers", "1", "--out-dir", str(dir_b)]) == 0
         for name in ("sweep_aggregate.json", "sweep_per_seed.csv",
                      "sweep_thist.csv", "sweep_fmean.csv"):
             assert read(dir_a / name) == read(dir_b / name)

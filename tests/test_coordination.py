@@ -77,42 +77,6 @@ class TestWindowCheck:
         assert window_check(snapshot([None])) == (None,)
 
 
-class TestFloodedExtremaMatchDirectComputation:
-    def test_random_graphs(self):
-        rng = random.Random(123)
-        for _ in range(20):
-            n = rng.randint(4, 20)
-            g = generate_random_digraph(n, rng.choice([0.0, 0.2]),
-                                        seed=rng.randint(0, 10 ** 6))
-            rounds = diameter(g)
-            values = []
-            for _ in range(n):
-                if rng.random() < 0.3:
-                    values.append(None)
-                else:
-                    values.append(fv(rng.randint(-50, 50), rng.randint(-50, 50)))
-            if all(v is None for v in values):
-                values[0] = fv(1, 1)
-            states = [snapshot([v]) for v in values]
-            for _ in range(rounds):
-                states = [
-                    extrema_merge(states[j],
-                                  [states[i] for i in g.in_neighbors(j)])
-                    for j in range(n)
-                ]
-            present = [v for v in values if v is not None]
-            import fractions
-            for dim in range(2):
-                coords = [fractions.Fraction(v.nums[dim], v.den) for v in present]
-                hi, lo = max(coords), min(coords)
-                for state in states:
-                    entry = state[0]
-                    up = entry.upper.components()[dim]
-                    down = entry.lower.components()[dim]
-                    assert fractions.Fraction(up.numerator, up.denominator) == hi
-                    assert fractions.Fraction(down.numerator, down.denominator) == lo
-
-
 def held_pairs(columns):
     """The (*y, z) pairs ``sim._window_verdict`` reads, by (node, label), for
     per-label columns of snapshot values; an absent value holds nothing."""
@@ -158,7 +122,6 @@ class TestFoldMatchesReferenceFlood:
             n = rng.randint(3, 16)
             g = generate_random_digraph(n, rng.choice([0.0, 0.1, 0.3]),
                                         seed=rng.randint(0, 10 ** 6))
-            in_nbrs = [g.in_neighbors(j) for j in range(n)]
             k = rng.randint(1, 4)
             columns = [label_values(rng, n, rng.choice(
                 ["agree", "agree", "spread", "absent"])) for _ in range(k)]
@@ -166,7 +129,7 @@ class TestFoldMatchesReferenceFlood:
                          for j in range(n)]
             expected = sim._window_verdict(k, held_pairs(columns))
             assert fold_verdict(snapshots) == expected
-            assert flood_verdict(in_nbrs, snapshots,
+            assert flood_verdict(g, snapshots,
                                  diameter(g) + extra_rounds) == expected
             if expected is None:
                 seen["disagreed"] += 1
@@ -187,10 +150,9 @@ class TestFoldMatchesReferenceFlood:
     ])
     def test_fixed_cases(self, columns, expected):
         g = cycle_digraph(4)
-        in_nbrs = [g.in_neighbors(j) for j in range(4)]
         snapshots = [snapshot([None if col[j] is None else col[j].reduced()
                                for col in columns]) for j in range(4)]
-        assert flood_verdict(in_nbrs, snapshots, diameter(g)) \
+        assert flood_verdict(g, snapshots, diameter(g)) \
             == fold_verdict(snapshots) \
             == sim._window_verdict(len(columns), held_pairs(columns)) \
             == expected
@@ -218,7 +180,6 @@ class TestFoldMatchesReferenceFlood:
 
     def test_rounds_below_diameter_diverge(self):
         g = cycle_digraph(4)
-        in_nbrs = [g.in_neighbors(j) for j in range(4)]
         snapshots = [snapshot([fv(v)]) for v in (1, 1, 1, 2)]
         with pytest.raises(ValueError, match="diverged"):
-            flood_verdict(in_nbrs, snapshots, 1)
+            flood_verdict(g, snapshots, 1)

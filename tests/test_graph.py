@@ -173,9 +173,12 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_random_digraph(2, 0.5, seed=1)
 
-    def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
-            generate_random_digraph(5, 1.5, seed=1)
+    @pytest.mark.parametrize("p", [1.5, -0.1, "0.5", True, None])
+    def test_rejects_bad_probability(self, p):
+        with pytest.raises(ValueError) as exc:
+            generate_random_digraph(5, p, seed=1)
+        assert str(exc.value) == \
+            f"extra_edge_probability must lie in [0, 1], not {p!r}"
 
 
 class TestEdgeOrders:

@@ -1,6 +1,7 @@
 import fractions
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -157,8 +158,8 @@ class TestRunConsensus:
         of these 30 seeded graphs, not a theorem."""
         for seed in range(30):
             g, values = eulerian_digraph(seed)
-            assert all(len(g.in_neighbors(j)) == len(g.out_neighbors(j))
-                       for j in range(g.n))
+            assert Counter(j for j, _ in g.edges) \
+                == Counter(i for _, i in g.edges)
             orders = (None if orders_seed is None
                       else assign_edge_orders(g, seed=orders_seed))
             trace = run_consensus(g, values, orders=orders)
@@ -652,6 +653,37 @@ class TestReportedGuarantees:
         assert trace.C_t > trace.step_bound
         assert trace.bound_ok is False
 
+    def test_a_run_that_ends_on_its_bound_keeps_it(self, monkeypatch):
+        # Plain averaging idles n*m^2 - S_t steps before its first delivery,
+        # and every clustering round reports its whole bound D + n*m^2.
+        g, values = cycle_digraph(3), [(5,), (0,), (0,)]
+        idle = [g.n * g.m ** 2 - run_consensus(g, values).S_t]
+        deliver = sim._LockStep.deliver
+
+        def late_deliver(self):
+            if idle[0]:
+                idle[0] -= 1
+                self.steps += 1
+                return []
+            return deliver(self)
+
+        run_round = sim._run_round
+
+        def whole_round(x, targets, k, assignments, window, step_bound, *args):
+            _, *rest = run_round(x, targets, k, assignments, window,
+                                 step_bound, *args)
+            return (step_bound, *rest)
+
+        monkeypatch.setattr(sim._LockStep, "deliver", late_deliver)
+        monkeypatch.setattr(sim, "_run_round", whole_round)
+        trace = run_consensus(g, values)
+        assert trace.S_t == trace.step_bound == 27
+        assert trace.bound_ok is True
+        trace = run_kmeans(cycle_digraph(4), [(i,) for i in range(4)],
+                           [fv(0), fv(3)])
+        assert trace.C_t == trace.step_bound
+        assert trace.bound_ok is True
+
     @pytest.mark.parametrize("runner, bound", [("consensus", 6272),
                                                ("kmeans", 6279)])
     def test_a_runaway_past_the_factor_raises(self, monkeypatch, runner,
@@ -730,7 +762,6 @@ def check_verdicts_by_flood(monkeypatch, g, window):
     verdict must also equal the max/min fold over that list, agreed values
     in the same (nums, den) form.  Returns the list the checked verdicts are
     appended to."""
-    in_nbrs = [g.in_neighbors(j) for j in range(g.n)]
     window_verdict = sim._window_verdict
     init = sim._LockStep.__init__
     rounds, verdicts = [], []
@@ -754,7 +785,7 @@ def check_verdicts_by_flood(monkeypatch, g, window):
         fold = fold_verdict(every)
         assert fold == verdict
         assert agreed_pairs(fold) == agreed_pairs(verdict)
-        assert flood_verdict(in_nbrs, every, window) == verdict
+        assert flood_verdict(g, every, window) == verdict
         verdicts.append(verdict)
         return verdict
 
@@ -944,11 +975,13 @@ class TestRunKMeans:
         with pytest.raises(ValueError, match="dim must be a positive integer"):
             run_kmeans(cycle_digraph(5), [()] * 5, [FractionVector(())])
 
-    def test_rejects_zero_rounds(self):
+    @pytest.mark.parametrize("max_rounds", [0, 2.5, True])
+    def test_rejects_zero_rounds(self, max_rounds):
         g = cycle_digraph(4)
-        with pytest.raises(ValueError,
-                           match="max_rounds must be a positive integer"):
-            run_kmeans(g, [(i,) for i in range(4)], [fv(0)], max_rounds=0)
+        with pytest.raises(ValueError) as exc:
+            run_kmeans(g, [(i,) for i in range(4)], [fv(0)],
+                       max_rounds=max_rounds)
+        assert str(exc.value) == "max_rounds must be a positive integer"
 
     def test_matches_lloyd_on_random_instances(self, monkeypatch):
         # Differential fuzz against the centralized oracle: canonical and
@@ -1113,7 +1146,11 @@ class TestExperimentsAndSweep:
         (dict(dim=3), "one region interval per dimension is required"),
         (dict(dim=0, region=()), "dim must be a positive integer"),
         (dict(extra_edge_probability=2),
-         "extra_edge_probability must lie in [0, 1]"),
+         "extra_edge_probability must lie in [0, 1], not 2"),
+        (dict(extra_edge_probability="0.5"),
+         "extra_edge_probability must lie in [0, 1], not '0.5'"),
+        (dict(extra_edge_probability=True),
+         "extra_edge_probability must lie in [0, 1], not True"),
         (dict(region=((0, 50), (5, 4))), "region intervals must be nonempty"),
         # every integer field and bound is type-checked before it is used
         (dict(n=6.0), INT_FIELDS + "not 6.0"),
@@ -1175,10 +1212,17 @@ class TestExperimentsAndSweep:
             == [(0, 1, False), (1, 1, False), (2, 1, False)]
         assert rows == sweep(cfg, 3, workers=2).per_seed
 
-    def test_sweep_needs_a_seed(self):
+    @pytest.mark.parametrize("num_seeds, workers, message", [
+        (0, None, "num_seeds must be positive"),
+        (2.5, None, "num_seeds must be positive"),
+        ("2", None, "num_seeds must be positive"),
+        (2, 1.5, "workers must be a positive integer"),
+        (2, "2", "workers must be a positive integer"),
+    ])
+    def test_sweep_needs_a_seed(self, num_seeds, workers, message):
         with pytest.raises(ValueError) as exc:
-            sweep(ExperimentConfig(n=10), 0)
-        assert str(exc.value) == "num_seeds must be positive"
+            sweep(ExperimentConfig(n=10), num_seeds, workers=workers)
+        assert str(exc.value) == message
 
     def test_pool_is_never_larger_than_the_seed_count(self, monkeypatch):
         import multiprocessing
@@ -1204,6 +1248,8 @@ class TestExperimentsAndSweep:
                             lambda method: Context)
         cfg = ExperimentConfig(n=10, k=2, extra_edge_probability=0.2)
         serial = sweep(cfg, 2)
+        assert sweep(cfg, 2, workers=1).per_seed == serial.per_seed
+        assert sizes == []      # one worker runs in this process
         assert sweep(cfg, 2, workers=8).per_seed == serial.per_seed
         assert sizes == [2]
         assert sweep(cfg, 1, workers=8).per_seed == serial.per_seed[:1]
