@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from math import lcm
 from operator import add, sub
 from typing import Optional, Sequence
@@ -138,9 +139,9 @@ class _LockStep:
     may fall between them).  ``check_conservation`` re-reads only touched
     pairs against ``held``, every nonzero held ``(*y, z)`` pair by (node,
     label), and a per-label running sum, so it costs the touched pairs plus
-    the messages in flight.  ``check_conservation_scan`` sums the whole state;
-    the runners call it when a round closes, which also catches a held pair
-    that changed without passing through the engine.
+    the messages in flight.  ``check_conservation_scan`` re-reads every pair
+    from an empty cache; a round's close makes only that check, which also
+    catches a held pair that changed without passing through the engine.
     """
 
     def __init__(self, x: Sequence[tuple[int, ...]],
@@ -249,20 +250,18 @@ class _LockStep:
                     del held[pair]
                 else:
                     held[pair] = new
-        self._compare(sums)
-
-    def check_conservation_scan(self) -> None:
-        """``check_conservation`` from the whole state, not the cache."""
-        self._compare([(*map(sum, zip(*(st.held_y for st in states))),
-                        sum(st.held_z for st in states))
-                       for states in zip(*self.instances)])
-
-    def _compare(self, held_sums: list[tuple[int, ...]]) -> None:
-        rows = list(held_sums)
+        rows = list(sums)
         for _, cl, mass in self.pending:
             rows[cl] = (*map(add, rows[cl], mass.y), rows[cl][-1] + mass.z)
         if rows != self.totals:
             raise ProtocolError("mass conservation violated")
+
+    def check_conservation_scan(self) -> None:
+        """``check_conservation``, every pair re-read from an empty cache."""
+        k = len(self.totals)
+        self.held, self.held_sums = {}, [self.zero] * k
+        self.touched = set(product(range(len(self.instances)), range(k)))
+        self.check_conservation()
 
 
 # --------------------------------------------------------------------------
@@ -324,12 +323,11 @@ def run_consensus(g: Digraph, initial: Sequence[Sequence[int]],
     # starts with an inexact estimate, and S_t is the stop step.
     node_unsettled = [unsettled(st) for st in states]
     unsettled_count = sum(node_unsettled)
-    lock.check_conservation()
     while unsettled_count:
+        lock.check_conservation()   # after the previous step's emit
         received = lock.deliver()
         lock.emit(received)
         per_step.append(len(lock.pending))
-        lock.check_conservation()
         for j, _ in received:
             old, node_unsettled[j] = node_unsettled[j], unsettled(states[j])
             unsettled_count += node_unsettled[j] - old
@@ -460,10 +458,10 @@ def _run_round(x: Sequence[tuple[int, ...]],
         received = lock.deliver()
         merges += 1
         if merges == window:
-            lock.check_conservation()
             if verdict is not None:
                 lock.check_conservation_scan()
                 return lock.steps, lock.messages, verdict
+            lock.check_conservation()
             verdict = _window_verdict(k, lock.held)
             merges = 0
 

@@ -1,4 +1,5 @@
 import random
+from operator import add
 
 import pytest
 
@@ -84,6 +85,40 @@ def fold_verdict(snapshots):
     return window_check(extrema_merge(snapshots[0], snapshots[1:]))
 
 
+def held_pairs(lock):
+    """Every nonzero held ``(*y, z)`` of a ``sim._LockStep`` by (node,
+    label), read from its instances: what the engine's ``held`` must
+    equal after each conservation check."""
+    return {(j, cl): (*st.held_y, st.held_z)
+            for j, row in enumerate(lock.instances)
+            for cl, st in enumerate(row) if st.held_z or any(st.held_y)}
+
+
+def held_sums(lock):
+    """Per label, the sum of ``held_pairs(lock)``."""
+    sums = [(0,) * len(total) for total in lock.totals]
+    for (_, cl), pair in held_pairs(lock).items():
+        sums[cl] = tuple(map(add, sums[cl], pair))
+    return sums
+
+
+def balanced(lock):
+    """The whole-state conservation check: whether the held pairs plus the
+    masses in flight sum, label by label, to ``lock.totals``, the mass the
+    round injected."""
+    sums = held_sums(lock)
+    for _, cl, mass in lock.pending:
+        sums[cl] = tuple(map(add, sums[cl], (*mass.y, mass.z)))
+    return sums == lock.totals
+
+
+def add_held(lock, j, cl):
+    """Add one counter unit to the held pair of node ``j`` under label
+    ``cl``, behind the engine's back.  The one place a test writes a held
+    pair of a ``sim._LockStep``."""
+    lock.instances[j][cl].held_z += 1
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)
@@ -122,8 +157,7 @@ def delivery_leak(monkeypatch):
     def leaky(self):
         received = deliver(self)
         if received:
-            j, cl = received[0]
-            self.instances[j][cl].held_z += 1
+            add_held(self, *received[0])
         return received
 
     monkeypatch.setattr(sim._LockStep, "deliver", leaky)

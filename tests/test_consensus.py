@@ -33,13 +33,17 @@ class TestInit:
         assert state.estimate is None
         assert state.tr == 0
 
-    def test_rejects_bad_counter(self):
-        with pytest.raises(ValueError):
-            ConsensusState.create((1,), 2, targets=(1,))
-
-    def test_rejects_nonzero_value_with_zero_counter(self):
-        with pytest.raises(ValueError):
-            ConsensusState.create((1,), 0, targets=(1,))
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ConsensusState.create((1,), 2, targets=(1,)),
+         "initial counter mass must be 0 or 1"),
+        (lambda: ConsensusState.create((1,), 0, targets=(1,)),
+         "zero counter mass requires a zero value mass"),
+        (lambda: ConsensusState(1, ()),
+         "a node needs at least one out-neighbor"),
+    ], ids=["bad-counter", "nonzero-value-with-zero-counter", "no-targets"])
+    def test_rejects_bad_input(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
 
 
 class TestAbsorb:

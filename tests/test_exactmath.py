@@ -60,6 +60,12 @@ class TestFractionVector:
     def test_value_equality(self):
         assert FractionVector((9, 12), 3) == FractionVector((3, 4), 1)
         assert FractionVector((1,), 2) != FractionVector((1,), 3)
+        # equal values hash equal
+        assert hash(FractionVector((2,), 2)) == hash(FractionVector((1,), 1))
+        # another dimension, or not a vector at all, is never equal
+        assert FractionVector((1, 0), 1) != FractionVector((1,), 1)
+        v = FractionVector((1,), 1)
+        assert v.__eq__((1,)) is NotImplemented and v != (1,)
 
     def test_reduced(self):
         v = FractionVector((6, 9), 12).reduced()
@@ -70,12 +76,15 @@ class TestFractionVector:
         assert v.components()[0] == Fraction(3, 1)
         assert str(v.components()[0]) == "3/1"
         assert str(v) == "3/1 4/1"
+        assert repr(FractionVector((1, -2), -3)) == "FractionVector((-1, 2), 3)"
 
     def test_elementwise_extrema(self):
         a = FractionVector((1, 5), 1)
         b = FractionVector((2, 3), 1)
         assert a.elementwise_max(b) == FractionVector((2, 5), 1)
         assert a.elementwise_min(b) == FractionVector((1, 3), 1)
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            a.elementwise_max(FractionVector((1,), 1))
 
     def test_elementwise_returns_dominating_input(self):
         a = FractionVector((5, 5), 1)

@@ -217,9 +217,13 @@ class TestEdgeOrders:
 
 class TestEdgeListFormat:
     def test_parse_three_cycle(self):
-        # a blank line between edges is skipped
-        g = parse_edge_list("3 3\n1 0\n\n2 1\n0 2\n")
-        assert g == cycle_digraph(3)
+        # a blank line between edges is skipped; the edges come in another
+        # order than cycle_digraph gives them, so the graph and its hash
+        # must not depend on the order
+        g = parse_edge_list("3 3\n1 0\n\n0 2\n2 1\n")
+        assert g == cycle_digraph(3) and hash(g) == hash(cycle_digraph(3))
+        assert g.__eq__(g.edges) is NotImplemented and g != g.edges
+        assert repr(g) == "Digraph(n=3, m=3)"
 
     def test_round_trip_on_random_graphs(self):
         rng = random.Random(9)

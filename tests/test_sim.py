@@ -18,9 +18,10 @@ from quantkmeans.sim import (ExperimentConfig, ProtocolError, config_for_seed,
                              distance_objective, run_consensus, run_experiment,
                              run_kmeans, sweep)
 
-from conftest import (NOT_STRONGLY_CONNECTED, agreed_pairs, cycle_digraph,
-                      eight_node_counterexample, flood_verdict, fold_verdict,
-                      fv, ladder_digraph)
+from conftest import (NOT_STRONGLY_CONNECTED, add_held, agreed_pairs,
+                      balanced, cycle_digraph, eight_node_counterexample,
+                      flood_verdict, fold_verdict, fv, held_pairs, held_sums,
+                      ladder_digraph)
 
 
 def stationary_distribution(g):
@@ -408,12 +409,6 @@ def random_kmeans_case(seed, k_max=3):
     return g, obs, cents, orders
 
 
-def held_totals(lock):
-    """Per label, the held (*y, z) summed over every node."""
-    return [tuple(map(sum, zip(*((*st.held_y, st.held_z) for st in states))))
-            for states in zip(*lock.instances)]
-
-
 def run_both_runners(seed, check, log_messages=False):
     """Call ``check`` with a plain averaging run and then a clustering run
     of ``seed``, each as a callable with no arguments."""
@@ -426,8 +421,9 @@ def run_both_runners(seed, check, log_messages=False):
 
 
 class TestIncrementalConservation:
-    """The per-step and per-window check re-reads only touched pairs; these
-    compare it with a sum over the whole state."""
+    """The engine's one check re-reads only touched pairs, and every pair
+    when a round closes; these compare it with the tests' own sum over the
+    whole state (``held_pairs``, ``held_sums`` and ``balanced``)."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_running_sums_equal_a_whole_state_sum(self, monkeypatch, seed):
@@ -437,12 +433,8 @@ class TestIncrementalConservation:
 
         def compared(lock):
             check(lock)
-            assert list(lock.held_sums) == held_totals(lock)
-            assert lock.held == {
-                (j, cl): (*st.held_y, st.held_z)
-                for j, row in enumerate(lock.instances)
-                for cl, st in enumerate(row)
-                if st.held_z or any(st.held_y)}
+            assert lock.held == held_pairs(lock)
+            assert lock.held_sums == held_sums(lock)
             checks.append(lock.steps)
 
         monkeypatch.setattr(sim._LockStep, "check_conservation", compared)
@@ -454,8 +446,8 @@ class TestIncrementalConservation:
     @pytest.mark.parametrize("seed", range(4))
     def test_leak_in_emit_is_caught_at_the_first_unbalanced_check(
             self, monkeypatch, leak, seed, first_step):
-        # Every check must raise exactly when a whole-state sum first
-        # disagrees with the injected mass, as the whole-state check did.
+        # Every check must raise exactly when ``balanced``, the whole-state
+        # sum, first disagrees with the injected mass.
         # From the engine's step ``first_step`` on (step 1 is the round's
         # opening emit), each instance that fires gains one counter unit,
         # on the message it sends or on the held pair it keeps.
@@ -464,35 +456,30 @@ class TestIncrementalConservation:
         def leaky(lock, received):
             if lock.steps < first_step:
                 return emit(lock, received)
-            states = [lock.instances[j][cl] for j, cl in received]
-            fired_before = [st.tr for st in states]
+            fired_before = [lock.instances[j][cl].tr for j, cl in received]
             sent = len(lock.pending)
             emit(lock, received)
             if leak == "held":
-                for st, tr in zip(states, fired_before):
-                    if st.tr != tr:
-                        st.held_z += 1
+                for (j, cl), tr in zip(received, fired_before):
+                    if lock.instances[j][cl].tr != tr:
+                        add_held(lock, j, cl)
             else:
                 lock.pending[sent:] = [(r, cl, Mass(mass.y, mass.z + 1))
                                        for r, cl, mass in lock.pending[sent:]]
 
         check = sim._LockStep.check_conservation
-        balanced = []
+        verdicts = []
 
         def compared(lock):
-            try:
-                lock.check_conservation_scan()
-                balanced.append(True)
-            except ProtocolError:
-                balanced.append(False)
+            verdicts.append(balanced(lock))
             check(lock)
 
         def caught_first_time(run):
-            balanced.clear()
+            verdicts.clear()
             with pytest.raises(ProtocolError,
                                match="mass conservation violated"):
                 run()
-            assert balanced[-1] is False and all(balanced[:-1])
+            assert verdicts[-1] is False and all(verdicts[:-1])
 
         monkeypatch.setattr(sim._LockStep, "emit", leaky)
         monkeypatch.setattr(sim._LockStep, "check_conservation", compared)
@@ -538,7 +525,7 @@ def corrupt_one_held_pair(step, run):
         if lock is opened[0] and lock.steps == step:
             j = next(j for j in range(len(lock.instances))
                      if all(r != j for r, _ in received))
-            lock.instances[j][0].held_z += 1
+            add_held(lock, j, 0)
         return received
 
     with pytest.MonkeyPatch.context() as patch:
