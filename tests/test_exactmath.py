@@ -83,8 +83,12 @@ class TestFractionVector:
         b = FractionVector((2, 3), 1)
         assert a.elementwise_max(b) == FractionVector((2, 5), 1)
         assert a.elementwise_min(b) == FractionVector((1, 3), 1)
+
+    @pytest.mark.parametrize("op", ["elementwise_max", "elementwise_min"])
+    def test_elementwise_rejects_another_dimension(self, op):
+        a = FractionVector((1, 5), 1)
         with pytest.raises(ValueError, match="^dimension mismatch$"):
-            a.elementwise_max(FractionVector((1,), 1))
+            getattr(a, op)(FractionVector((1,), 1))
 
     def test_elementwise_returns_dominating_input(self):
         a = FractionVector((5, 5), 1)
